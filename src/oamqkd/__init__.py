@@ -1,8 +1,8 @@
 """Free-space QKD link simulator and analysis toolkit.
 
-Covers rotation-invariant hybrid polarization-OAM encoding, pulse-level
-BB84+decoy Monte Carlo simulation, closed-form decoy key-rate bounds,
-beam-wander turbulence estimation and rate-versus-gain link budgets.
+Covers rotation-invariant hybrid polarization-OAM encoding, BB84+decoy
+Monte Carlo simulation, closed-form decoy key-rate bounds, beam-wander
+turbulence estimation and rate-versus-gain link budgets.
 """
 
 from .errors import (

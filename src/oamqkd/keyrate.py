@@ -34,16 +34,16 @@ class DecoyObservables:
     y0: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > self.nu > 0.0):
-            raise ValidationError(f"need mu > nu > 0, got mu={self.mu}, nu={self.nu}")
+        if not (math.inf > self.mu > self.nu > 0.0):
+            raise ValidationError(f"need finite mu > nu > 0, got mu={self.mu}, nu={self.nu}")
         for name, gain in (("q_mu", self.q_mu), ("q_nu", self.q_nu)):
             if not 0.0 < gain <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1], got {gain}")
         for name, qber in (("e_mu", self.e_mu), ("e_nu", self.e_nu)):
             if not 0.0 <= qber <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {qber}")
-        if self.y0 < 0.0:
-            raise ValidationError(f"y0 must be non-negative, got {self.y0}")
+        if not 0.0 <= self.y0 < math.inf:
+            raise ValidationError(f"y0 must be non-negative and finite, got {self.y0}")
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ def gain_threshold(p: LinkBudgetParams) -> float:
             )
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: further steps would not move the bracket
+            break
         if rate_at(mid) > 0.0:
             hi = mid
         else:

@@ -1,15 +1,18 @@
-"""Pulse-level Monte Carlo simulation of the BB84+decoy free-space link.
+"""Monte Carlo simulation of the BB84+decoy free-space link, block by block.
 
-Pulses are processed in blocks; every block draws its randomness from an
-independent Philox (counter-based) stream derived from the master seed, the
-stream name, and the block index, so results are reproducible and do not
-depend on how the blocks are scheduled.
+Pulses are i.i.d. given their block's scintillation multiplier, so each
+block's counts are drawn at once from their exact multinomial law over 36
+categories (intensity class x photon number x outcome).  Every block draws
+its randomness from an independent Philox (counter-based) stream derived from
+the master seed, the stream name, and the block index, so results are
+reproducible and do not depend on how the blocks are scheduled.
 
 Detection outcomes follow the exact single-qubit Born probabilities from
 :mod:`oamqkd.optics`: the transmitted state is frame-rotated by the channel
 misalignment angle and measured in the receiver's basis, so polarization
 encoding picks up the ``sin^2``-type misalignment errors while the hybrid
-encoding does not.
+encoding does not.  The pulse-level path (:func:`generate_pulses`,
+:func:`transmit`, :func:`tally_blocks`) is the reference for the block law.
 """
 
 from __future__ import annotations
@@ -49,15 +52,15 @@ class SourceParams:
     effective_bitrate: float = 3.0e4
 
     def __post_init__(self) -> None:
-        if not (self.mu > self.nu > 0.0):
-            raise ValidationError(f"need mu > nu > 0, got mu={self.mu}, nu={self.nu}")
+        if not (np.inf > self.mu > self.nu > 0.0):
+            raise ValidationError(f"need finite mu > nu > 0, got mu={self.mu}, nu={self.nu}")
         probs = (self.p_mu, self.p_nu, self.p_vac)
-        if any(p < 0.0 for p in probs):
-            raise ValidationError(f"class probabilities must be non-negative: {probs}")
+        if not all(0.0 <= p <= 1.0 for p in probs):
+            raise ValidationError(f"class probabilities must lie in [0, 1]: {probs}")
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ValidationError(f"class probabilities must sum to 1, got {sum(probs)}")
-        if self.pulse_rate <= 0.0 or self.effective_bitrate <= 0.0:
-            raise ValidationError("pulse_rate and effective_bitrate must be positive")
+        if not (0.0 < self.pulse_rate < np.inf and 0.0 < self.effective_bitrate < np.inf):
+            raise ValidationError("pulse_rate and effective_bitrate must be positive and finite")
 
     @property
     def class_probabilities(self) -> tuple[float, float, float]:
@@ -87,8 +90,10 @@ class ChannelParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if self.block_scintillation_sigma < 0.0:
-            raise ValidationError("block_scintillation_sigma must be non-negative")
+        if not np.isfinite(self.theta):
+            raise ValidationError(f"theta must be finite, got {self.theta}")
+        if not 0.0 <= self.block_scintillation_sigma < np.inf:
+            raise ValidationError("block_scintillation_sigma must be non-negative and finite")
 
     @property
     def eta(self) -> float:
@@ -329,6 +334,14 @@ class BlockTally:
     def qber(self, cls: IntensityClass) -> float:
         return float(self.qbers[int(cls)])
 
+    @classmethod
+    def from_counts(cls, block_index: int, counts: np.ndarray) -> "BlockTally":
+        """Tally of one block's class x photon-number x outcome counts (3x3x4)."""
+        per_outcome = counts.sum(axis=1)
+        sent = per_outcome.sum(axis=1)
+        return cls(block_index, int(sent.sum()), sent, sent - per_outcome[:, 0],
+                   per_outcome[:, 2] + per_outcome[:, 3], per_outcome[:, 3])
+
 
 def _tally_slice(pulses: PulseBatch, lo: int, hi: int, block_index: int) -> BlockTally:
     cls = pulses.intensity_class[lo:hi]
@@ -413,6 +426,40 @@ class SessionTally:
     ch: ChannelParams = field(repr=False, default=ChannelParams())
 
 
+@lru_cache(maxsize=1)  # a session without scintillation reuses one law for every block
+def _block_law(src: SourceParams, ch: ChannelParams, multiplier: float) -> np.ndarray:
+    """Law of one pulse of :func:`generate_pulses` then :func:`transmit`, shaped 3x3x4.
+
+    Axes: intensity class, photon number {0, 1, >=2}, outcome {undetected,
+    basis mismatch, sifted-correct, sifted-error}.  The array is shared: read only.
+    """
+    p = min(1.0, ch.eta * multiplier)
+    lam = np.asarray(src.intensities)
+    e_lam = np.exp(-lam)
+    q = 1.0 - p
+    # P(n >= 2, some photon survives) and P(n >= 2, none does): a Poisson total
+    # minus its n <= 1 part, in expm1 form; rounding can leave them just below 0
+    multi_click = np.maximum(-np.expm1(-lam * p) - lam * e_lam * p, 0.0)
+    multi_lost = np.maximum(-np.exp(-lam * p) * np.expm1(-lam * q) - lam * e_lam * q, 0.0)
+    weight = np.asarray(src.class_probabilities)[:, None]
+    clicked = weight * np.stack([np.zeros(3), lam * e_lam * p, multi_click], axis=1)
+    unclicked = weight * np.stack([e_lam, lam * e_lam * q, multi_lost], axis=1)
+
+    table = detection_bit_probabilities(ch.theta, ch.encoding)
+    raw = 0.25 * (table[0, 0, 0] + table[1, 0, 1] + 2.0 - table[0, 1, 0] - table[1, 1, 1])
+    e_p = raw + ch.e_ch * (1.0 - 2.0 * raw)
+    photon_only = clicked * (1.0 - ch.y0)
+    dark_only = unclicked * ch.y0
+    both = clicked * ch.y0  # the dark bit agrees or a fresh coin decides
+    detected = photon_only + dark_only + both
+    errors = 0.5 * (photon_only * e_p + 0.5 * dark_only + both * (0.5 * e_p + 0.25))
+    correct = 0.5 * (photon_only * (1.0 - e_p) + 0.5 * dark_only + both * (0.75 - 0.5 * e_p))
+    law = np.stack([unclicked * (1.0 - ch.y0), 0.5 * detected, correct, errors], axis=2)
+    law /= law.sum()
+    law.flags.writeable = False
+    return law
+
+
 def simulate_block(
     src: SourceParams,
     ch: ChannelParams,
@@ -420,16 +467,15 @@ def simulate_block(
     master_seed: int,
     stream: str,
     block_index: int,
-) -> PulseBatch:
-    """Generate and transmit one block on its own counter-indexed stream."""
+) -> np.ndarray:
+    """Draw one block's 3x3x4 counts from :func:`_block_law` on its own stream."""
     gen = block_generator(master_seed, stream, block_index)
     multiplier = 1.0
     sigma = ch.block_scintillation_sigma
     if sigma > 0.0:
         # mean-corrected log-normal: E[multiplier] = 1
         multiplier = float(np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma))
-    batch = generate_pulses(block_size, src, gen)
-    return transmit(batch, ch, multiplier, gen)
+    return gen.multinomial(block_size, _block_law(src, ch, multiplier).ravel()).reshape(3, 3, 4)
 
 
 def run_session(
@@ -446,30 +492,22 @@ def run_session(
     Identical arguments give bit-identical results regardless of block
     scheduling, because each block owns an independent derived stream.
     """
-    n_blocks = n_pulses // block_size
-    if n_blocks == 0:
+    if not 0 < block_size <= n_pulses:
         raise ValidationError(
-            f"n_pulses={n_pulses} is smaller than one block of {block_size}"
+            f"need 0 < block_size <= n_pulses, got block_size={block_size}, n_pulses={n_pulses}"
         )
-    blocks: list[BlockTally] = []
-    signal_sent = 0
-    sp_detected = 0
-    sp_sifted = 0
-    sp_errors = 0
-    for b in range(n_blocks):
-        batch = simulate_block(src, ch, block_size, master_seed, stream, b)
-        blocks.append(_tally_slice(batch, 0, len(batch), b))
+    n_blocks = n_pulses // block_size
+    counts = np.stack(
+        [simulate_block(src, ch, block_size, master_seed, stream, b) for b in range(n_blocks)]
+    )
+    blocks = [BlockTally.from_counts(b, counts[b]) for b in range(n_blocks)]
 
-        one = (batch.intensity_class == int(IntensityClass.SIGNAL)) & (batch.photon_count == 1)
-        signal_sent += int(np.count_nonzero(batch.intensity_class == int(IntensityClass.SIGNAL)))
-        sp_detected += int(np.count_nonzero(one & batch.detected))
-        matched = one & batch.detected & (batch.basis == batch.detector_basis)
-        sp_sifted += int(np.count_nonzero(matched))
-        sp_errors += int(np.count_nonzero(matched & (batch.bit != batch.detected_bit)))
-
+    one = counts[:, int(IntensityClass.SIGNAL), 1].sum(axis=0)
+    signal_sent = int(counts[:, int(IntensityClass.SIGNAL)].sum())
+    sp_sifted = int(one[2] + one[3])
     single_photon = SinglePhotonStats(
-        gain=sp_detected / signal_sent if signal_sent else 0.0,
-        error_rate=sp_errors / sp_sifted if sp_sifted else None,
+        gain=int(one[1:].sum()) / signal_sent if signal_sent else 0.0,
+        error_rate=int(one[3]) / sp_sifted if sp_sifted else None,
         sifted=sp_sifted,
     )
     observables = estimate_observables(blocks, src)

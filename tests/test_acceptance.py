@@ -16,6 +16,7 @@ from scipy import stats
 from helpers import random_unit_pairs
 
 from oamqkd import (
+    BlockTally,
     ChannelParams,
     Encoding,
     HybridState,
@@ -31,7 +32,6 @@ from oamqkd import (
     qplate_map,
     rotate_frame,
     run_session,
-    tally_blocks,
 )
 from oamqkd.cli import main
 from oamqkd.fileio import read_key_values
@@ -146,8 +146,7 @@ def _signal_qber(theta_deg: float, encoding: Encoding, seed: int) -> tuple[float
                        theta=math.radians(theta_deg), encoding=encoding)
     sifted = errors = 0
     for b in range(20):
-        batch = simulate_block(src, ch, 50_000, seed, "simulate", b)
-        tally = tally_blocks(batch, 50_000)[0]
+        tally = BlockTally.from_counts(b, simulate_block(src, ch, 50_000, seed, "simulate", b))
         sifted += int(tally.sifted[int(IntensityClass.SIGNAL)])
         errors += int(tally.errors[int(IntensityClass.SIGNAL)])
     return errors / sifted, sifted
@@ -206,8 +205,8 @@ def _block_gains(sigma: float, n_blocks: int, seed: int) -> np.ndarray:
                        block_scintillation_sigma=sigma)
     gains = np.empty(n_blocks)
     for b in range(n_blocks):
-        batch = simulate_block(src, ch, 2880, seed, "simulate", b)
-        gains[b] = tally_blocks(batch, 2880)[0].gain(IntensityClass.SIGNAL)
+        tally = BlockTally.from_counts(b, simulate_block(src, ch, 2880, seed, "simulate", b))
+        gains[b] = tally.gain(IntensityClass.SIGNAL)
     return gains
 
 

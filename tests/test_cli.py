@@ -96,6 +96,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("flags", [["--block-size", "0"], ["--pulses", "-5"],
+                                       ["--encoding", "polarization", "--theta", "nan"]])
+    def test_invalid_run_exits_1(self, tmp_path, flags, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--pulses", "30000", *flags, "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKeyrate:
     def test_table_csv_gives_four_positive_rates(self, tmp_path):
@@ -150,6 +158,13 @@ class TestKeyrate:
 
     def test_missing_inline_flags_exit_1(self, tmp_path):
         assert main(["keyrate", "--q-mu", "0.01", "--out", str(tmp_path / "o")]) == 1
+
+    def test_infinite_vacuum_yield_exits_1(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["keyrate", "--q-mu", "1.43e-2", "--e-mu", "0.0381", "--q-nu", "4.77e-3",
+                   "--e-nu", "0.0763", "--y0", "inf", "--out", str(out)])
+        assert rc == 1
+        assert not (out / "keyrate.csv").exists()
 
     def test_inconsistent_intensities_exit_1(self, tmp_path):
         rc = main(["keyrate", "--mu", "0.1", "--nu", "0.6", "--q-mu", "1e-2",

@@ -107,6 +107,14 @@ class TestSinglePhotonGainBound:
             DecoyObservables(mu=0.165, nu=0.623, q_mu=1e-2, e_mu=0.03,
                              q_nu=4e-3, e_nu=0.07, y0=1e-4)
 
+    @pytest.mark.parametrize("name", ["mu", "nu", "q_mu", "e_mu", "q_nu", "e_nu", "y0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_observables_rejected(self, name, value):
+        fields = dict(mu=MU, nu=NU, **REFERENCE_ROWS[0])
+        fields[name] = value
+        with pytest.raises(ValidationError):
+            DecoyObservables(**fields)
+
 
 class TestSinglePhotonErrorBound:
     def test_reference_value(self):

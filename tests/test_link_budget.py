@@ -103,6 +103,38 @@ class TestGainThreshold:
         assert g_star == pytest.approx(9.35497389725e-5, rel=1e-9)
         assert 5e-5 <= g_star <= 2e-4
 
+    def test_stops_once_the_bracket_stops_moving(self, monkeypatch):
+        import oamqkd.link_budget as lb
+
+        def rate(q):
+            return rate_vs_gain([q], DEFAULTS)[0].breakdown.rate
+
+        # reference: the decade scan, then a fixed 100 bisection steps
+        hi, lo, evals = 1.0, 0.1, 2
+        while rate(lo) > 0.0:
+            hi, lo, evals = lo, lo / 10.0, evals + 1
+        moving_steps = 0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            moving_steps += mid not in (lo, hi)
+            if rate(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        reference = 0.5 * (lo + hi)
+
+        calls = []
+        counted = lb.secret_key_rate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(lb, "secret_key_rate", counting)
+        assert gain_threshold(DEFAULTS) == reference
+        assert len(calls) == evals + moving_steps
+        assert 100 - moving_steps == 47
+
     def test_rate_vanishes_at_threshold(self):
         g_star = gain_threshold(DEFAULTS)
         rate = rate_vs_gain([g_star], DEFAULTS)[0].breakdown.rate

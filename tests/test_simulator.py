@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from oamqkd import (
+    BlockTally,
     ChannelParams,
     Encoding,
     EstimationError,
@@ -26,7 +27,7 @@ from oamqkd import (
     transmit,
 )
 from oamqkd.keyrate import e1_upper
-from oamqkd.simulator import block_generator, simulate_block
+from oamqkd.simulator import _block_law, block_generator, simulate_block
 
 LOSSLESS = dict(eta_ch=1.0, eta_c=1.0, eta_d=1.0)
 
@@ -78,6 +79,11 @@ class TestGeneration:
             SourceParams(mu=0.1, nu=0.2)
         with pytest.raises(ValidationError):
             SourceParams(p_mu=0.5, p_nu=0.5, p_vac=0.5)
+        for name in ("mu", "p_mu", "pulse_rate"):
+            with pytest.raises(ValidationError):
+                SourceParams(**{name: math.nan})
+        with pytest.raises(ValidationError):
+            SourceParams(mu=math.inf)
         with pytest.raises(ValidationError):
             generate_pulses(0, SourceParams(), 1)
 
@@ -137,6 +143,12 @@ class TestTransmit:
         errors = batch.detected & (batch.detected_bit != batch.bit)
         frac = errors.sum() / batch.detected.sum()
         assert abs(frac - 0.5) < _binomial_5sigma(0.5, int(batch.detected.sum()))
+
+    @pytest.mark.parametrize("name", ["theta", "block_scintillation_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_channel_params_rejected(self, name, value):
+        with pytest.raises(ValidationError):
+            ChannelParams(**{name: value})
 
     def test_multiplier_validation(self):
         batch = generate_pulses(10, SourceParams(), 1)
@@ -217,8 +229,8 @@ class TestBlockTallies:
         src = all_signal_source()
         gains = []
         for b in range(n_blocks):
-            batch = simulate_block(src, ch, 2880, seed, "simulate", b)
-            gains.append(tally_blocks(batch, 2880)[0].gain(IntensityClass.SIGNAL))
+            tally = BlockTally.from_counts(b, simulate_block(src, ch, 2880, seed, "simulate", b))
+            gains.append(tally.gain(IntensityClass.SIGNAL))
         return np.array(gains)
 
     def test_stationary_channel_block_gains_chi2_consistent(self):
@@ -243,6 +255,59 @@ class TestBlockTallies:
         batch = generate_pulses(100, SourceParams(), 1)
         with pytest.raises(ValidationError):
             tally_blocks(batch, 0)
+
+
+def _pulse_categories(batch: PulseBatch) -> np.ndarray:
+    """Counts of a transmitted batch over the block law's 36 categories."""
+    photons = np.minimum(batch.photon_count, 2)
+    outcome = np.select(
+        [~batch.detected, batch.basis != batch.detector_basis, batch.bit == batch.detected_bit],
+        [0, 1, 2], 3)
+    return np.bincount((batch.intensity_class * 3 + photons) * 4 + outcome, minlength=36)
+
+
+class TestBlockLaw:
+    @pytest.mark.parametrize("encoding", [Encoding.HYBRID, Encoding.POLARIZATION])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_equal_in_law_to_pulse_level(self, encoding, sigma):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.5, eta_c=1.0, eta_d=1.0, e_ch=0.03, y0=0.05,
+                           theta=math.radians(15.0), encoding=encoding,
+                           block_scintillation_sigma=sigma)
+        rng = np.random.default_rng(60)
+        observed = np.zeros(36)
+        expected = np.zeros(36)
+        for _ in range(10):
+            multiplier = float(np.exp(sigma * rng.standard_normal() - 0.5 * sigma * sigma))
+            batch = transmit(generate_pulses(100_000, src, rng), ch, multiplier, rng)
+            observed += _pulse_categories(batch)
+            expected += 100_000 * _block_law(src, ch, multiplier).ravel()
+        possible = expected > 0.0
+        assert np.all(observed[~possible] == 0)
+        assert stats.chisquare(observed[possible], expected[possible]).pvalue > 1e-6
+
+    @pytest.mark.parametrize("mu, p", [(0.623, 0.2), (0.623, 1.0), (1e-3, 1e-5), (5.0, 0.7)])
+    def test_multiphoton_masses_match_poisson_series(self, mu, p):
+        src = SourceParams(mu=mu, nu=mu / 4)
+        law = _block_law(src, ChannelParams(eta_ch=p, eta_c=1.0, eta_d=1.0, y0=0.0), 1.0)
+        n = np.arange(2, 80)
+        for cls, lam in enumerate(src.intensities[:2]):
+            pmf = stats.poisson.pmf(n, lam)
+            lost = np.exp(n * np.log1p(-p)) if p < 1.0 else np.zeros(n.size)
+            weight = src.class_probabilities[cls]
+            # the closed form subtracts the n <= 1 terms from a Poisson total,
+            # which costs a few digits when lam is small
+            clicked, unclicked = law[cls, 2, 1:].sum() / weight, law[cls, 2, 0] / weight
+            assert clicked == pytest.approx(np.sum(pmf * (1.0 - lost)), rel=1e-10, abs=0.0)
+            assert unclicked == pytest.approx(np.sum(pmf * lost), rel=1e-10, abs=0.0)
+
+    def test_law_is_a_distribution_at_extreme_survival(self):
+        for mu, eta in ((1e-12, 1.0 - 6e-16), (0.623, 1.0), (0.623, 0.0), (1e4, 0.5)):
+            law = _block_law(SourceParams(mu=mu, nu=mu / 3),
+                             ChannelParams(eta_ch=eta, eta_c=1.0, eta_d=1.0), 1.0)
+            assert law.shape == (3, 3, 4)
+            assert np.all(law >= 0.0)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestObservables:
@@ -306,8 +371,8 @@ class TestSessionContracts:
         session = run_session(src, ch, 40_000, block_size=4_000, master_seed=35)
         out_of_order = {}
         for b in reversed(range(10)):
-            batch = simulate_block(src, ch, 4_000, 35, "simulate", b)
-            out_of_order[b] = tally_blocks(batch, 4_000)[0]
+            counts = simulate_block(src, ch, 4_000, 35, "simulate", b)
+            out_of_order[b] = BlockTally.from_counts(b, counts)
         for tally in session.blocks:
             other = out_of_order[tally.block_index]
             assert np.array_equal(tally.detected, other.detected)
@@ -360,6 +425,12 @@ class TestSessionContracts:
     def test_session_too_short_raises(self):
         with pytest.raises(ValidationError):
             run_session(SourceParams(), ChannelParams(), 100, block_size=2880)
+
+    @pytest.mark.parametrize("n_pulses, block_size", [(10_000, 0), (10_000, -5), (-5, 2880),
+                                                      (0, 2880)])
+    def test_nonpositive_counts_raise(self, n_pulses, block_size):
+        with pytest.raises(ValidationError):
+            run_session(SourceParams(), ChannelParams(), n_pulses, block_size=block_size)
 
     def test_decoy_bounds_hold_on_one_large_session(self):
         src = SourceParams(p_mu=0.5, p_nu=0.4, p_vac=0.1)
