@@ -54,13 +54,11 @@ from .simulator import (
     ChannelParams,
     IntensityClass,
     PulseBatch,
-    PulseRecord,
     SessionTally,
     SourceParams,
     estimate_observables,
     generate_pulses,
     run_session,
-    sift,
     tally_blocks,
     transmit,
 )

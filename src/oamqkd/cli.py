@@ -1,15 +1,16 @@
 """Command-line front end: simulate, keyrate, turbulence, sweep.
 
 Parameters come from an optional flat key=value config file (section-prefixed
-keys such as ``source.mu``) with command-line flags taking precedence.  Data
-goes to files in the output directory; diagnostics go to stderr.  Exit codes:
-0 success, 1 usage/config error, 2 runtime/domain error.
+keys such as ``source.mu``; any other key is an error) with command-line flags
+taking precedence.  Data goes to files in the output directory; diagnostics go
+to stderr.  Exit codes: 0 success, 1 usage/config error, 2 runtime/domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -35,13 +36,53 @@ from .keyrate import (
     secret_key_rate,
     single_photon_rate,
 )
-from .optics import Encoding
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 OBSERVABLE_FIELDS = ("mu", "nu", "q_mu", "e_mu", "q_nu", "e_nu", "y0")
+
+#: Config sections whose keys are the fields of one dataclass.
+SECTIONS = {"source": sim.SourceParams, "channel": sim.ChannelParams, "ec": ECModel,
+            "spot": turb.SpotModel, "budget": lb.LinkBudgetParams}
+#: The config key of a dataclass field, where it is not ``section.field``.
+_RENAMED = {"channel.block_scintillation_sigma": "channel.scintillation_sigma"}
+#: Keys that no dataclass holds, with their defaults.
+PLAIN_DEFAULTS = {
+    "run.pulses": 1_000_000, "run.block_size": sim.DEFAULT_BLOCK_SIZE,
+    "geometry.length_m": 210.0, "geometry.wavelength_nm": 850.0, "geometry.beam_radius_m": 0.015,
+    "spot.wander_std_mm": 0.33, "spot.n_frames": 177,
+    "sweep.q_mu_min": 1e-5, "sweep.q_mu_max": 1.0, "sweep.points": 51,
+    "sweep.measured_gain": 1.2e-2,
+}
+
+
+def _key(section: str, field: str) -> str:
+    return _RENAMED.get(f"{section}.{field}", f"{section}.{field}")
+
+
+#: Every config key with its default; ``None`` leaves the dataclass to derive the value.
+DEFAULTS = {_key(section, f.name): f.default
+            for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)}
+DEFAULTS.update(PLAIN_DEFAULTS)
+
+#: Per command, the flags that set a config key: flag -> key.
+FLAGS = {
+    "simulate": {"--pulses": "run.pulses", "--block-size": "run.block_size",
+                 "--encoding": "channel.encoding", "--theta": "channel.theta"},
+    "keyrate": {"--mu": "source.mu", "--nu": "source.nu", "--f": "ec.f", "--e0": "ec.e0"},
+    "turbulence": {"--n-frames": "spot.n_frames", "--wander-std-mm": "spot.wander_std_mm",
+                   "--rows": "spot.rows", "--cols": "spot.cols", "--pitch-mm": "spot.pitch_mm",
+                   "--waist-mm": "spot.waist_mm", "--profile": "spot.profile",
+                   "--length-m": "geometry.length_m", "--wavelength-nm": "geometry.wavelength_nm",
+                   "--beam-radius-m": "geometry.beam_radius_m"},
+    "sweep": {"--q-mu-min": "sweep.q_mu_min", "--q-mu-max": "sweep.q_mu_max",
+              "--points": "sweep.points", "--measured-gain": "sweep.measured_gain",
+              "--mu": "budget.mu", "--nu": "budget.nu", "--e-ch": "budget.e_ch",
+              "--dark-rate-hz": "budget.dark_rate", "--gate-s": "budget.gate",
+              "--y0": "budget.y0", "--f": "budget.f"},
+}
 
 
 class UsageError(Exception):
@@ -54,19 +95,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pick(flag_value, cfg: ConfigMap, key: str, default, getter="get_float"):
-    if flag_value is not None:
-        return flag_value
-    return getattr(cfg, getter)(key, default)
+def _value_type(key: str) -> type:
+    """int, float or str: the type of the key's default, float when it has none."""
+    default = DEFAULTS[key]
+    return str if isinstance(default, str) else int if isinstance(default, int) else float
 
 
-def _load_config(args) -> ConfigMap:
-    if args.config is None:
-        return ConfigMap.empty()
-    path = Path(args.config)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
-    return ConfigMap.load(path)
+def _resolve(args) -> dict:
+    """Every config key's value: the flag if given, else the config file, else the default."""
+    cfg = ConfigMap.empty()
+    if args.config is not None:
+        path = Path(args.config)
+        if not path.is_file():
+            raise UsageError(f"config file not found: {path}")
+        cfg = ConfigMap.load(path)
+    unknown = sorted(set(cfg.values) - DEFAULTS.keys())
+    if unknown:
+        raise UsageError(f"{cfg.source}: unknown config key(s): {', '.join(unknown)}")
+    getters = {int: cfg.get_int, float: cfg.get_float, str: cfg.get_str}
+    flags = vars(args)
+    values = {}
+    for key, default in DEFAULTS.items():
+        value = flags.get(key)
+        if value is None:
+            value = getters[_value_type(key)](key, default)
+        if key in PLAIN_DEFAULTS and not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value}")
+        values[key] = value
+    return values
+
+
+def _build(section: str, values: dict):
+    """The section's dataclass, built from resolved values."""
+    cls = SECTIONS[section]
+    return cls(**{f.name: values[_key(section, f.name)] for f in dataclasses.fields(cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,90 +139,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="oamqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    summaries = {"simulate": "Monte Carlo BB84+decoy session", "keyrate": "decoy key-rate analysis",
+                 "turbulence": "beam-wander turbulence estimate",
+                 "sweep": "rate-vs-gain sweep and threshold"}
+    parsers = {}
+    for command, flags in FLAGS.items():
+        p = parsers[command] = sub.add_parser(command, parents=[common], help=summaries[command])
+        for flag, key in flags.items():
+            default = DEFAULTS[key]
+            shown = "derived" if default is None else getattr(default, "value", default)
+            p.add_argument(flag, dest=key, type=_value_type(key), help=f"default: {shown}")
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo BB84+decoy session")
-    p.add_argument("--pulses", type=int, default=None, help="pulses to send (default 1000000)")
-    p.add_argument("--block-size", type=int, default=None, help="pulses per block (default 2880)")
-    p.add_argument("--encoding", choices=[e.value for e in Encoding], default=None)
-    p.add_argument("--theta", type=float, default=None, help="frame misalignment angle (rad)")
-
-    p = sub.add_parser("keyrate", parents=[common], help="decoy key-rate analysis")
+    p = parsers["keyrate"]
     src_group = p.add_mutually_exclusive_group()
     src_group.add_argument("--observables", type=str, default=None,
                            help="key=value observables file (as written by simulate)")
     src_group.add_argument("--csv", type=str, default=None,
                            help="CSV of observables, one breakdown per row")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--q-mu", type=float, default=None)
-    p.add_argument("--e-mu", type=float, default=None)
-    p.add_argument("--q-nu", type=float, default=None)
-    p.add_argument("--e-nu", type=float, default=None)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--f", type=float, default=None, help="error-correction efficiency")
-    p.add_argument("--e0", type=float, default=None, help="vacuum error rate")
+    for name in OBSERVABLE_FIELDS[2:]:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--single-photon", action="store_true",
                    help="rate for an ideal single-photon source instead of decoy bounds")
 
-    p = sub.add_parser("turbulence", parents=[common], help="beam-wander turbulence estimate")
-    mode = p.add_mutually_exclusive_group()
+    mode = parsers["turbulence"].add_mutually_exclusive_group()
     mode.add_argument("--frames", type=str, default=None, help="directory of frame files")
     mode.add_argument("--synthetic", action="store_true", help="generate synthetic frames")
     mode.add_argument("--sigma-m-mm", type=float, default=None,
                       help="skip frames; use this wander sigma (mm) directly")
-    p.add_argument("--n-frames", type=int, default=None, help="synthetic frame count (default 177)")
-    p.add_argument("--wander-std-mm", type=float, default=None,
-                   help="synthetic per-axis wander std (mm, default 0.33)")
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--pitch-mm", type=float, default=None)
-    p.add_argument("--waist-mm", type=float, default=None)
-    p.add_argument("--profile", choices=turb.SPOT_PROFILES, default=None)
-    p.add_argument("--length-m", type=float, default=None, help="path length (default 210)")
-    p.add_argument("--wavelength-nm", type=float, default=None, help="wavelength (default 850)")
-    p.add_argument("--beam-radius-m", type=float, default=None,
-                   help="beam radius for the weak-turbulence flag (default 0.015)")
-
-    p = sub.add_parser("sweep", parents=[common], help="rate-vs-gain sweep and threshold")
-    p.add_argument("--q-mu-min", type=float, default=None)
-    p.add_argument("--q-mu-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--measured-gain", type=float, default=None,
-                   help="operating gain for the loss-margin report (default 1.2e-2)")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--e-ch", type=float, default=None)
-    p.add_argument("--dark-rate-hz", type=float, default=None)
-    p.add_argument("--gate-s", type=float, default=None)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--f", type=float, default=None)
     return parser
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    src = sim.SourceParams(
-        mu=cfg.get_float("source.mu", 0.623),
-        nu=cfg.get_float("source.nu", 0.165),
-        p_mu=cfg.get_float("source.p_mu", 0.7),
-        p_nu=cfg.get_float("source.p_nu", 0.2),
-        p_vac=cfg.get_float("source.p_vac", 0.1),
-        pulse_rate=cfg.get_float("source.pulse_rate", 2.5e6),
-        effective_bitrate=cfg.get_float("source.effective_bitrate", 3.0e4),
-    )
-    ch = sim.ChannelParams(
-        eta_ch=cfg.get_float("channel.eta_ch", 0.10),
-        eta_c=cfg.get_float("channel.eta_c", 0.30),
-        eta_d=cfg.get_float("channel.eta_d", 0.60),
-        e_ch=cfg.get_float("channel.e_ch", 0.0),
-        y0=cfg.get_float("channel.y0", 0.0),
-        theta=_pick(args.theta, cfg, "channel.theta", 0.0),
-        encoding=Encoding(_pick(args.encoding, cfg, "channel.encoding", "hybrid", "get_str")),
-        block_scintillation_sigma=cfg.get_float("channel.scintillation_sigma", 0.0),
-    )
-    n_pulses = int(_pick(args.pulses, cfg, "run.pulses", 1_000_000, "get_int"))
-    block_size = int(_pick(args.block_size, cfg, "run.block_size", 2880, "get_int"))
-
+    values = _resolve(args)
+    src, ch = _build("source", values), _build("channel", values)
+    n_pulses, block_size = values["run.pulses"], values["run.block_size"]
     session = sim.run_session(
         src, ch, n_pulses, block_size=block_size, master_seed=args.seed, stream="simulate"
     )
@@ -186,13 +198,7 @@ def cmd_simulate(args) -> int:
     write_key_values(
         out / "observables.txt",
         {
-            "mu": obs.mu,
-            "nu": obs.nu,
-            "q_mu": obs.q_mu,
-            "e_mu": obs.e_mu,
-            "q_nu": obs.q_nu,
-            "e_nu": obs.e_nu,
-            "y0": obs.y0,
+            **{name: getattr(obs, name) for name in OBSERVABLE_FIELDS},
             "n_blocks": len(session.blocks),
             "block_size": block_size,
             "encoding": ch.encoding.value,
@@ -220,9 +226,8 @@ def _observables_from_map(values: dict, source: str, mu: float, nu: float) -> De
     return DecoyObservables(mu=mu, nu=nu, **fields)
 
 
-def _collect_observables(args, cfg: ConfigMap) -> list[tuple[str, DecoyObservables]]:
-    mu_default = _pick(args.mu, cfg, "source.mu", 0.623)
-    nu_default = _pick(args.nu, cfg, "source.nu", 0.165)
+def _collect_observables(args, values: dict) -> list[tuple[str, DecoyObservables]]:
+    mu_default, nu_default = values["source.mu"], values["source.nu"]
     if args.csv is not None:
         path = Path(args.csv)
         if not path.is_file():
@@ -244,15 +249,9 @@ def _collect_observables(args, cfg: ConfigMap) -> list[tuple[str, DecoyObservabl
             raise UsageError(f"observables file not found: {path}")
         cfg_obs = ConfigMap.load(path)
         return [(str(path), _observables_from_map(cfg_obs.values, str(path), mu_default, nu_default))]
-    inline = {
-        "q_mu": args.q_mu,
-        "e_mu": args.e_mu,
-        "q_nu": args.q_nu,
-        "e_nu": args.e_nu,
-        "y0": args.y0,
-    }
-    if any(v is None for v in inline.values()):
-        missing = [k for k, v in inline.items() if v is None]
+    inline = {k: getattr(args, k) for k in OBSERVABLE_FIELDS[2:]}
+    missing = [k for k, v in inline.items() if v is None]
+    if missing:
         raise UsageError(
             "provide --observables, --csv, or all inline observable flags "
             f"(missing: {', '.join('--' + k.replace('_', '-') for k in missing)})"
@@ -261,49 +260,36 @@ def _collect_observables(args, cfg: ConfigMap) -> list[tuple[str, DecoyObservabl
 
 
 def cmd_keyrate(args) -> int:
-    cfg = _load_config(args)
-    ec = ECModel(
-        f=_pick(args.f, cfg, "ec.f", 1.05),
-        e0=_pick(args.e0, cfg, "ec.e0", 0.5),
-    )
+    values = _resolve(args)
+    ec = _build("ec", values)
     out = Path(args.out)
-    if args.single_photon:
-        rows = []
-        for source, obs in _collect_observables(args, cfg):
-            leak = ec.f * binary_entropy(obs.e_mu)
+    rows = []
+    for source, obs in _collect_observables(args, values):
+        if args.single_photon:
             rate = single_photon_rate(obs.e_mu, ec)
-            rows.append((obs.e_mu, leak, rate, rate > 0.0))
-        write_csv(out / "keyrate.csv", ("e_mu", "leak_ec", "rate", "secure"), rows,
-                  float_format=FULL_FLOAT_FORMAT)
-    else:
-        rows = []
-        for source, obs in _collect_observables(args, cfg):
+            rows.append((obs.e_mu, ec.f * binary_entropy(obs.e_mu), rate, rate > 0.0))
+        else:
             b = secret_key_rate(obs, ec)
             rows.append((b.q1_lower, b.e1_upper, b.q0, b.leak_ec, b.rate, b.secure))
-        write_csv(
-            out / "keyrate.csv",
-            ("q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure"),
-            rows,
-            float_format=FULL_FLOAT_FORMAT,
-        )
+    header = (("e_mu", "leak_ec", "rate", "secure") if args.single_photon
+              else ("q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure"))
+    write_csv(out / "keyrate.csv", header, rows, float_format=FULL_FLOAT_FORMAT)
     print(f"wrote {out / 'keyrate.csv'}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_turbulence(args) -> int:
-    cfg = _load_config(args)
-    wavelength_nm = _pick(args.wavelength_nm, cfg, "geometry.wavelength_nm", 850.0)
+    values = _resolve(args)
     geom = turb.LinkGeometry(
-        length_m=_pick(args.length_m, cfg, "geometry.length_m", 210.0),
-        wavelength_m=wavelength_nm * 1e-9,
+        length_m=values["geometry.length_m"],
+        wavelength_m=values["geometry.wavelength_nm"] * 1e-9,
     )
-    beam_radius_m = _pick(args.beam_radius_m, cfg, "geometry.beam_radius_m", 0.015)
+    beam_radius_m = values["geometry.beam_radius_m"]
     out = Path(args.out)
 
-    centroids: list[turb.CentroidSample] | None = None
     if args.sigma_m_mm is not None:
-        if args.sigma_m_mm <= 0.0:
-            raise UsageError("--sigma-m-mm must be positive")
+        if not 0.0 < args.sigma_m_mm < math.inf:
+            raise UsageError("--sigma-m-mm must be positive and finite")
         estimate = turb.estimate_from_sigma(args.sigma_m_mm / turb.MM_PER_M, geom)
     else:
         if args.frames is not None:
@@ -320,24 +306,14 @@ def cmd_turbulence(args) -> int:
                 except (ValidationError, ValueError) as exc:
                     raise UsageError(f"malformed frame file {path}: {exc}") from None
         elif args.synthetic:
-            spot = turb.SpotModel(
-                rows=int(_pick(args.rows, cfg, "spot.rows", 256, "get_int")),
-                cols=int(_pick(args.cols, cfg, "spot.cols", 256, "get_int")),
-                pitch_mm=_pick(args.pitch_mm, cfg, "spot.pitch_mm", 0.05),
-                waist_mm=_pick(args.waist_mm, cfg, "spot.waist_mm", 1.0),
-                profile=_pick(args.profile, cfg, "spot.profile", "annular", "get_str"),
-            )
-            wander_mm = _pick(args.wander_std_mm, cfg, "spot.wander_std_mm", 0.33)
-            n_frames = int(_pick(args.n_frames, cfg, "spot.n_frames", 177, "get_int"))
             frames = turb.synthesize_frames(
-                n_frames, spot, wander_mm / turb.MM_PER_M, rng_seed=args.seed
+                values["spot.n_frames"], _build("spot", values),
+                values["spot.wander_std_mm"] / turb.MM_PER_M, rng_seed=args.seed,
             )
         else:
             raise UsageError("choose one of --frames, --synthetic, or --sigma-m-mm")
         centroids = [turb.centroid(f) for f in frames]
         estimate = turb.estimate_turbulence(centroids, geom)
-
-    if centroids is not None:
         write_csv(
             out / "centroids.csv",
             ("frame_index", "x_mm", "y_mm"),
@@ -363,21 +339,10 @@ def cmd_turbulence(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    y0_flag = args.y0 if args.y0 is not None else cfg.get_float("budget.y0", None)
-    params = lb.LinkBudgetParams(
-        mu=_pick(args.mu, cfg, "budget.mu", 0.623),
-        nu=_pick(args.nu, cfg, "budget.nu", 0.165),
-        e_ch=_pick(args.e_ch, cfg, "budget.e_ch", 0.02),
-        f=_pick(args.f, cfg, "budget.f", 1.05),
-        dark_rate=_pick(args.dark_rate_hz, cfg, "budget.dark_rate", 100.0),
-        gate=_pick(args.gate_s, cfg, "budget.gate", 50e-9),
-        y0=y0_flag,
-    )
-    q_min = _pick(args.q_mu_min, cfg, "sweep.q_mu_min", 1e-5)
-    q_max = _pick(args.q_mu_max, cfg, "sweep.q_mu_max", 1.0)
-    points = int(_pick(args.points, cfg, "sweep.points", 51, "get_int"))
-    measured_gain = _pick(args.measured_gain, cfg, "sweep.measured_gain", 1.2e-2)
+    values = _resolve(args)
+    params = _build("budget", values)
+    q_min, q_max = values["sweep.q_mu_min"], values["sweep.q_mu_max"]
+    points, measured_gain = values["sweep.points"], values["sweep.measured_gain"]
     if points <= 0:
         raise UsageError(f"sweep needs a non-empty grid, got points={points}")
     if not 0.0 < q_min <= q_max:

@@ -111,14 +111,3 @@ class ConfigMap:
 
     def get_int(self, key: str, default: int | None = None):
         return self._convert(key, lambda s: int(s, 0), default)
-
-    def get_bool(self, key: str, default: bool | None = None):
-        def cast(raw: str) -> bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-
-        return self._convert(key, cast, default)

@@ -54,8 +54,10 @@ class ECModel:
     e0: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.f < 1.0:
-            raise ValidationError(f"error-correction efficiency f must be >= 1, got {self.f}")
+        if not 1.0 <= self.f < math.inf:
+            raise ValidationError(
+                f"error-correction efficiency f must be finite and >= 1, got {self.f}"
+            )
         if not 0.0 <= self.e0 <= 1.0:
             raise ValidationError(f"vacuum error rate e0 must lie in [0, 1], got {self.e0}")
 
@@ -71,8 +73,9 @@ class Bounded(NamedTuple):
 class KeyRateBreakdown:
     """All terms entering the decoy secret key rate, plus the rate itself.
 
-    ``rate`` is reported as computed, negative values included; ``secure`` is
-    simply ``rate > 0``.
+    ``rate`` is reported as computed, negative values included.  ``secure``
+    needs ``rate > 0`` and a positive single-photon gain bound: a rate from
+    the vacuum term alone certifies no key.
     """
 
     q1_lower: float
@@ -167,7 +170,7 @@ def secret_key_rate(obs: DecoyObservables, ec: ECModel = ECModel()) -> KeyRateBr
         rate=rate,
         q1_clamped=q1.clamped,
         e1_clamped=e1.clamped,
-        secure=rate > 0.0,
+        secure=rate > 0.0 and q1.value > 0.0,
     )
 
 

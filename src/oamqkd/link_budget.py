@@ -37,18 +37,20 @@ class LinkBudgetParams:
     y0: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (self.mu > self.nu > 0.0):
-            raise ValidationError(f"need mu > nu > 0, got mu={self.mu}, nu={self.nu}")
+        if not (math.inf > self.mu > self.nu > 0.0):
+            raise ValidationError(f"need finite mu > nu > 0, got mu={self.mu}, nu={self.nu}")
         if not 0.0 <= self.e_ch <= 0.5:
             raise ValidationError(f"channel QBER must lie in [0, 0.5], got {self.e_ch}")
-        if self.f < 1.0:
-            raise ValidationError(f"error-correction efficiency must be >= 1, got {self.f}")
-        if self.dark_rate < 0.0 or self.gate < 0.0:
-            raise ValidationError("dark rate and gate duration must be non-negative")
+        if not 1.0 <= self.f < math.inf:
+            raise ValidationError(
+                f"error-correction efficiency must be finite and >= 1, got {self.f}"
+            )
+        if not (0.0 <= self.dark_rate < math.inf and 0.0 <= self.gate < math.inf):
+            raise ValidationError("dark rate and gate duration must be non-negative and finite")
         if self.y0 is None:
             object.__setattr__(self, "y0", dark_yield(self.dark_rate, self.gate))
-        elif self.y0 < 0.0:
-            raise ValidationError(f"y0 must be non-negative, got {self.y0}")
+        elif not 0.0 <= self.y0 < math.inf:
+            raise ValidationError(f"y0 must be non-negative and finite, got {self.y0}")
 
     @property
     def ec_model(self) -> ECModel:

@@ -21,7 +21,7 @@ import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .optics import Encoding, basis, embed_hybrid, measure_probabilities, rotate
 _PROB_SUM_TOL = 1e-9
 _BASIS_LABELS = ("Z", "X")
 
+#: Pulses per block, unless a caller says otherwise.
+DEFAULT_BLOCK_SIZE = 2880
+
 
 class IntensityClass(IntEnum):
     SIGNAL = 0
@@ -41,15 +44,13 @@ class IntensityClass(IntEnum):
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Transmitter model: intensity classes, their probabilities, clock rates."""
+    """Transmitter model: intensity classes and their probabilities."""
 
     mu: float = 0.623
     nu: float = 0.165
     p_mu: float = 0.7
     p_nu: float = 0.2
     p_vac: float = 0.1
-    pulse_rate: float = 2.5e6
-    effective_bitrate: float = 3.0e4
 
     def __post_init__(self) -> None:
         if not (np.inf > self.mu > self.nu > 0.0):
@@ -59,8 +60,6 @@ class SourceParams:
             raise ValidationError(f"class probabilities must lie in [0, 1]: {probs}")
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ValidationError(f"class probabilities must sum to 1, got {sum(probs)}")
-        if not (0.0 < self.pulse_rate < np.inf and 0.0 < self.effective_bitrate < np.inf):
-            raise ValidationError("pulse_rate and effective_bitrate must be positive and finite")
 
     @property
     def class_probabilities(self) -> tuple[float, float, float]:
@@ -85,6 +84,9 @@ class ChannelParams:
     block_scintillation_sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        encodings = [e.value for e in Encoding]
+        if self.encoding not in encodings:
+            raise ValidationError(f"encoding must be one of {encodings}, got {self.encoding!r}")
         object.__setattr__(self, "encoding", Encoding(self.encoding))
         for name in ("eta_ch", "eta_c", "eta_d", "e_ch", "y0"):
             value = getattr(self, name)
@@ -101,29 +103,11 @@ class ChannelParams:
         return self.eta_ch * self.eta_c * self.eta_d
 
 
-@dataclass
-class PulseRecord:
-    """One pulse, transmitter fields plus (after transmission) detection fields."""
-
-    intensity_class: IntensityClass
-    basis: int
-    bit: int
-    photon_count: int
-    detected: bool = False
-    detected_bit: Optional[int] = None
-    detector_basis: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.detected != (self.detected_bit is not None):
-            raise ValidationError("detected_bit must be present exactly when detected")
-
-
 @dataclass(eq=False)
 class PulseBatch:
     """Columnar storage for a sequence of pulses.
 
-    Detection columns use -1 as the not-set sentinel; ``record(i)`` exposes a
-    scalar :class:`PulseRecord` view of pulse ``i``.
+    Detection columns use -1 as the not-set sentinel.
     """
 
     intensity_class: np.ndarray
@@ -136,37 +120,6 @@ class PulseBatch:
 
     def __len__(self) -> int:
         return self.intensity_class.shape[0]
-
-    def __iter__(self) -> Iterator[PulseRecord]:
-        return (self.record(i) for i in range(len(self)))
-
-    def record(self, i: int) -> PulseRecord:
-        detected = bool(self.detected[i])
-        return PulseRecord(
-            intensity_class=IntensityClass(int(self.intensity_class[i])),
-            basis=int(self.basis[i]),
-            bit=int(self.bit[i]),
-            photon_count=int(self.photon_count[i]),
-            detected=detected,
-            detected_bit=int(self.detected_bit[i]) if detected else None,
-            detector_basis=int(self.detector_basis[i]) if self.detector_basis[i] >= 0 else None,
-        )
-
-    @classmethod
-    def from_record(cls, record: PulseRecord) -> "PulseBatch":
-        return cls(
-            intensity_class=np.array([int(record.intensity_class)], dtype=np.int8),
-            basis=np.array([record.basis], dtype=np.int8),
-            bit=np.array([record.bit], dtype=np.int8),
-            photon_count=np.array([record.photon_count], dtype=np.int64),
-            detected=np.array([record.detected], dtype=bool),
-            detected_bit=np.array(
-                [-1 if record.detected_bit is None else record.detected_bit], dtype=np.int8
-            ),
-            detector_basis=np.array(
-                [-1 if record.detector_basis is None else record.detector_basis], dtype=np.int8
-            ),
-        )
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -237,15 +190,10 @@ def transmit(pulses, ch: ChannelParams, block_transmission_multiplier: float = 1
     uniformly chosen receiver basis using the exact rotated-state outcome
     probabilities, then flipped with probability ``e_ch``; dark-only events
     give a uniform bit and photon/dark disagreements resolve to a fresh coin.
-
-    Accepts a :class:`PulseBatch` (filled in place and returned) or a single
-    :class:`PulseRecord` (a filled copy is returned).
+    The batch is filled in place and returned.
     """
     if block_transmission_multiplier <= 0.0:
         raise ValidationError("block transmission multiplier must be positive")
-    if isinstance(pulses, PulseRecord):
-        batch = PulseBatch.from_record(pulses)
-        return transmit(batch, ch, block_transmission_multiplier, rng).record(0)
 
     gen = _as_generator(rng)
     n = len(pulses)
@@ -273,36 +221,6 @@ def transmit(pulses, ch: ChannelParams, block_transmission_multiplier: float = 1
     pulses.detector_basis = detector_basis
     pulses.detected_bit = np.where(detected, out, np.int8(-1)).astype(np.int8)
     return pulses
-
-
-@dataclass(eq=False)
-class SiftedBits:
-    """Basis-matched detections of one intensity class, in pulse order."""
-
-    indices: np.ndarray
-    sent_bits: np.ndarray
-    received_bits: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def error_count(self) -> int:
-        return int(np.count_nonzero(self.sent_bits != self.received_bits))
-
-
-def sift(pulses: PulseBatch) -> dict[IntensityClass, SiftedBits]:
-    """Keep detections whose bases matched, partitioned by intensity class."""
-    matched = pulses.detected & (pulses.basis == pulses.detector_basis)
-    result = {}
-    for cls in IntensityClass:
-        idx = np.flatnonzero(matched & (pulses.intensity_class == int(cls)))
-        result[cls] = SiftedBits(
-            indices=idx,
-            sent_bits=pulses.bit[idx].copy(),
-            received_bits=pulses.detected_bit[idx].copy(),
-        )
-    return result
 
 
 @dataclass(eq=False)
@@ -358,7 +276,7 @@ def _tally_slice(pulses: PulseBatch, lo: int, hi: int, block_index: int) -> Bloc
     )
 
 
-def tally_blocks(pulses: PulseBatch, block_size: int = 2880) -> list[BlockTally]:
+def tally_blocks(pulses: PulseBatch, block_size: int = DEFAULT_BLOCK_SIZE) -> list[BlockTally]:
     """Split the pulse sequence into fixed-size blocks and count per class.
 
     Blocks are consecutive and non-overlapping; a trailing partial block is
@@ -482,7 +400,7 @@ def run_session(
     src: SourceParams,
     ch: ChannelParams,
     n_pulses: int,
-    block_size: int = 2880,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     master_seed: int = 0,
     stream: str = "simulate",
 ) -> SessionTally:

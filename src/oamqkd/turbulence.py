@@ -72,8 +72,8 @@ class LinkGeometry:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0.0 or self.wavelength_m <= 0.0:
-            raise ValidationError("path length and wavelength must be positive")
+        if not (0.0 < self.length_m < math.inf and 0.0 < self.wavelength_m < math.inf):
+            raise ValidationError("path length and wavelength must be positive and finite")
 
     @property
     def wavevector(self) -> float:
@@ -161,21 +161,22 @@ def estimate_from_sigma(sigma_m: float, geom: LinkGeometry) -> TurbulenceEstimat
 class SpotModel:
     """Synthetic spot description for the frame generator.
 
-    ``annular`` gives the doughnut intensity ring of a first-order OAM mode
-    (``r^2 exp(-2 r^2 / w^2)``); ``gaussian`` gives ``exp(-2 r^2 / w^2)``.
+    ``annular`` (the default) gives the doughnut intensity ring of a
+    first-order OAM mode (``r^2 exp(-2 r^2 / w^2)``); ``gaussian`` gives
+    ``exp(-2 r^2 / w^2)``.
     """
 
     rows: int = 256
     cols: int = 256
     pitch_mm: float = 0.05
     waist_mm: float = 1.0
-    profile: str = "gaussian"
+    profile: str = "annular"
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValidationError("frame dimensions must be positive")
-        if self.pitch_mm <= 0.0 or self.waist_mm <= 0.0:
-            raise ValidationError("pitch and waist must be positive")
+        if not (0.0 < self.pitch_mm < math.inf and 0.0 < self.waist_mm < math.inf):
+            raise ValidationError("pitch and waist must be positive and finite")
         if self.profile not in SPOT_PROFILES:
             raise ValidationError(f"profile must be one of {SPOT_PROFILES}, got {self.profile!r}")
         half_extent = 0.5 * min(self.rows, self.cols) * self.pitch_mm

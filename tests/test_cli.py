@@ -2,13 +2,15 @@
 
 import csv
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oamqkd import SpotModel, synthesize_frames
-from oamqkd.cli import main
+from oamqkd import LinkBudgetParams, SpotModel, synthesize_frames
+from oamqkd.cli import DEFAULTS, FLAGS, main
 from oamqkd.fileio import read_key_values
 from oamqkd.turbulence import write_frame
 
@@ -166,6 +168,14 @@ class TestKeyrate:
         assert rc == 1
         assert not (out / "keyrate.csv").exists()
 
+    def test_vacuum_term_alone_is_not_secure(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["keyrate", "--q-mu", "6e-4", "--e-mu", "0", "--q-nu", "5e-4",
+                     "--e-nu", "0.5", "--y0", "1e-3", "--out", str(out)]) == 0
+        (row,) = read_csv(out / "keyrate.csv")
+        assert row["q1_lower"] == "0" and row["rate"] == "0.8938883710215404"
+        assert row["secure"] == "false"
+
     def test_inconsistent_intensities_exit_1(self, tmp_path):
         rc = main(["keyrate", "--mu", "0.1", "--nu", "0.6", "--q-mu", "1e-2",
                    "--e-mu", "0.03", "--q-nu", "3e-3", "--e-nu", "0.05",
@@ -252,6 +262,14 @@ class TestSweep:
         thresh = read_key_values(out / "threshold.txt")
         assert thresh["g_star"] == "nan"
 
+    def test_rows_without_a_gain_bound_are_not_secure(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--e-ch", "0.03", "--y0", "2e-5", "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0]["q1_lower"] == "0" and rows[0]["rate"] == "0.02266604523"
+        assert all(r["secure"] == "false" for r in rows if float(r["q1_lower"]) == 0.0)
+        assert any(r["secure"] == "true" for r in rows)
+
     def test_empty_grid_exits_1(self, tmp_path):
         assert main(["sweep", "--points", "0", "--out", str(tmp_path / "o")]) == 1
 
@@ -267,3 +285,94 @@ class TestParserContract:
 
     def test_unknown_flag_exits_1(self):
         assert main(["simulate", "--warp-drive"]) == 1
+
+    def test_help_shows_each_flag_default(self, capsys):
+        for command, flags in FLAGS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            for flag, key in flags.items():
+                default = DEFAULTS[key]
+                shown = "derived" if default is None else getattr(default, "value", default)
+                assert f"{flag} {key.upper()} default: {shown}" in text
+
+
+INLINE_OBSERVABLES = ["--q-mu", "1.43e-2", "--e-mu", "0.0381", "--q-nu", "4.77e-3",
+                      "--e-nu", "0.0763", "--y0", "3.77e-4"]
+#: Per command, arguments that make a short run which reads every key of the command.
+QUICK_ARGS = {
+    "simulate": ["--pulses", "30000"],
+    "keyrate": INLINE_OBSERVABLES,
+    "turbulence": ["--synthetic", "--n-frames", "4", "--rows", "64", "--cols", "64",
+                   "--pitch-mm", "0.2"],
+    "sweep": ["--points", "3"],
+}
+VALUE_FLAGS = [(command, QUICK_ARGS[command], flag)
+               for command, flags in FLAGS.items() for flag in flags]
+VALUE_FLAGS += [("keyrate", INLINE_OBSERVABLES, flag) for flag in INLINE_OBSERVABLES[::2]]
+VALUE_FLAGS += [("turbulence", [], "--sigma-m-mm")]
+
+
+@pytest.mark.parametrize("command,base,flag", VALUE_FLAGS,
+                         ids=[f"{c}{f}" for c, _, f in VALUE_FLAGS])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+def test_flag_value_exits_cleanly(tmp_path, command, base, flag, value):
+    """Any value ends in exit 0, 1 or 2; a non-finite one is refused as usage."""
+    rc = main([command, *base, f"{flag}={value}", "--out", str(tmp_path / "o")])
+    assert rc in (0, 1, 2)
+    if value in ("nan", "inf", "-inf"):
+        assert rc == 1
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("key", ["channel.eta_chh", "source.pulse_rate",
+                                     "source.effective_bitrate"])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {key: 0.9, "run.pulses": 30_000})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_encoding_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {"channel.encoding": "foo", "run.pulses": 30_000})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "encoding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["geometry.wavelength_nm", "sweep.measured_gain"])
+    def test_non_finite_plain_value_exits_1(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {key: "inf"})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_every_key_at_its_default_changes_no_output(self, tmp_path):
+        entries = {}
+        for key, default in DEFAULTS.items():
+            if default is None:  # budget.y0: the dark yield LinkBudgetParams derives
+                default = LinkBudgetParams().y0
+            entries[key] = getattr(default, "value", default)
+        cfg = tmp_path / "defaults.cfg"
+        write_config(cfg, entries)
+        for command in FLAGS:
+            argv = {"keyrate": INLINE_OBSERVABLES, "turbulence": ["--synthetic"]}.get(command, [])
+            plain, configured = tmp_path / command / "plain", tmp_path / command / "configured"
+            assert main([command, *argv, "--out", str(plain)]) == 0
+            assert main([command, *argv, "--config", str(cfg), "--out", str(configured)]) == 0
+            names = sorted(p.name for p in plain.iterdir())
+            assert names == sorted(p.name for p in configured.iterdir())
+            for name in names:
+                assert (plain / name).read_bytes() == (configured / name).read_bytes(), name
+
+    def test_readme_lists_every_key_with_its_default_and_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z0-9_]+)` \| (.+?) \| (.*?) \|", readme, re.M)
+        listed = {key: (default, flags) for key, default, flags in rows}
+        assert set(listed) == set(DEFAULTS)
+        for key, default in DEFAULTS.items():
+            flags = ", ".join(f"`{command} {flag}`" for command, table in FLAGS.items()
+                              for flag, k in table.items() if k == key)
+            assert listed[key][1] == flags, key
+            if default is not None:
+                assert listed[key][0] == str(getattr(default, "value", default)), key

@@ -65,10 +65,9 @@ def test_csv_header_and_rows(tmp_path):
 
 
 def test_config_typed_getters():
-    cfg = ConfigMap({"x.f": "1.5", "x.i": "42", "x.b": "true", "x.s": "hi"})
+    cfg = ConfigMap({"x.f": "1.5", "x.i": "42", "x.s": "hi"})
     assert cfg.get_float("x.f") == 1.5
     assert cfg.get_int("x.i") == 42
-    assert cfg.get_bool("x.b") is True
     assert cfg.get_str("x.s") == "hi"
     assert cfg.get_float("missing", 7.0) == 7.0
     with pytest.raises(ValidationError):

@@ -229,6 +229,13 @@ class TestSecretKeyRate:
         assert b.q1_lower == 0.0 and b.e1_upper == 1.0
         assert b.rate == pytest.approx(-b.leak_ec + b.q0 / obs.q_mu, abs=1e-15)
 
+    def test_vacuum_term_alone_is_not_secure(self):
+        """A positive rate with the gain bound clamped to 0 comes from Y0 alone."""
+        obs = DecoyObservables(mu=MU, nu=NU, q_mu=6e-4, e_mu=0.0, q_nu=5e-4, e_nu=0.5, y0=1e-3)
+        b = secret_key_rate(obs)
+        assert b.q1_lower == 0.0 and b.rate > 0.0
+        assert not b.secure
+
 
 class TestSinglePhotonRate:
     def test_zero_error_gives_unit_rate(self):
@@ -283,7 +290,8 @@ class TestValidation:
                              e_nu=0.07, y0=-1e-5)
 
     def test_ec_model(self):
-        with pytest.raises(ValidationError):
-            ECModel(f=0.99)
+        for f in (0.99, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                ECModel(f=f)
         with pytest.raises(ValidationError):
             ECModel(e0=1.5)

@@ -1,5 +1,7 @@
 """Rate-versus-gain prediction, thresholds and loss margins."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,12 @@ class TestParams:
             LinkBudgetParams(f=0.9)
         with pytest.raises(ValidationError):
             LinkBudgetParams(y0=-1e-6)
+
+    @pytest.mark.parametrize("name", ["mu", "nu", "e_ch", "f", "dark_rate", "gate", "y0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(ValidationError):
+            LinkBudgetParams(**{name: value})
 
     def test_explicit_y0_overrides_dark_rate(self):
         p = LinkBudgetParams(dark_rate=100.0, gate=50e-9, y0=1e-7)

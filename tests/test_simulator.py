@@ -13,7 +13,6 @@ from oamqkd import (
     EstimationError,
     IntensityClass,
     PulseBatch,
-    PulseRecord,
     SourceParams,
     ValidationError,
     estimate_observables,
@@ -22,7 +21,6 @@ from oamqkd import (
     q1_lower,
     run_session,
     secret_key_rate,
-    sift,
     tally_blocks,
     transmit,
 )
@@ -79,7 +77,7 @@ class TestGeneration:
             SourceParams(mu=0.1, nu=0.2)
         with pytest.raises(ValidationError):
             SourceParams(p_mu=0.5, p_nu=0.5, p_vac=0.5)
-        for name in ("mu", "p_mu", "pulse_rate"):
+        for name in ("mu", "p_mu"):
             with pytest.raises(ValidationError):
                 SourceParams(**{name: math.nan})
         with pytest.raises(ValidationError):
@@ -104,9 +102,9 @@ class TestTransmit:
                            encoding=Encoding.POLARIZATION)
         batch = generate_pulses(100_000, src, 7)
         transmit(batch, ch, 1.0, np.random.default_rng(8))
-        sifted = sift(batch)[IntensityClass.SIGNAL]
-        qber = sifted.error_count / len(sifted)
-        assert abs(qber - 0.25) < _binomial_5sigma(0.25, len(sifted))
+        (tally,) = tally_blocks(batch, len(batch))
+        sifted = int(tally.sifted[IntensityClass.SIGNAL])
+        assert abs(tally.qber(IntensityClass.SIGNAL) - 0.25) < _binomial_5sigma(0.25, sifted)
 
     def test_gain_matches_loss_chain_model(self):
         src = all_signal_source(mu=0.623)
@@ -119,19 +117,6 @@ class TestTransmit:
         assert abs(gain - expected) < _binomial_5sigma(expected, n)
         # same order as the measured reference gain 1.43e-2
         assert 1.43e-2 / 3.0 < gain < 1.43e-2 * 3.0
-
-    def test_single_record_roundtrip(self):
-        record = PulseRecord(IntensityClass.SIGNAL, basis=0, bit=1, photon_count=3)
-        ch = ChannelParams(**LOSSLESS)
-        out = transmit(record, ch, 1.0, np.random.default_rng(11))
-        assert out.detected
-        assert out.detected_bit in (0, 1)
-        assert out.detector_basis in (0, 1)
-        assert record.detected is False  # input record untouched
-
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            PulseRecord(IntensityClass.SIGNAL, 0, 0, 1, detected=True, detected_bit=None)
 
     def test_dark_only_detections_are_random_bits(self):
         src = all_signal_source(mu=0.623)
@@ -150,6 +135,10 @@ class TestTransmit:
         with pytest.raises(ValidationError):
             ChannelParams(**{name: value})
 
+    def test_unknown_encoding_rejected(self):
+        with pytest.raises(ValidationError, match="encoding"):
+            ChannelParams(encoding="foo")
+
     def test_multiplier_validation(self):
         batch = generate_pulses(10, SourceParams(), 1)
         with pytest.raises(ValidationError):
@@ -157,31 +146,31 @@ class TestTransmit:
 
 
 class TestSift:
-    def test_sifted_counts_and_order(self):
+    """Basis sifting as the block tallies count it."""
+
+    def test_sifted_counts_match_basis_matched_detections(self):
         src = SourceParams()
         batch = generate_pulses(60_000, src, 14)
         transmit(batch, ChannelParams(**LOSSLESS), 1.0, np.random.default_rng(15))
-        result = sift(batch)
-        total = sum(len(v) for v in result.values())
+        (tally,) = tally_blocks(batch, len(batch))
         matched = batch.detected & (batch.basis == batch.detector_basis)
-        assert total == int(matched.sum())
-        for part in result.values():
-            assert np.all(np.diff(part.indices) > 0)
+        assert int(tally.sifted.sum()) == int(matched.sum())
 
     def test_all_bases_matched_keeps_every_detection(self):
         batch = generate_pulses(20_000, SourceParams(), 50)
         transmit(batch, ChannelParams(**LOSSLESS), 1.0, np.random.default_rng(51))
         batch.detector_basis = batch.basis.copy()
-        result = sift(batch)
-        assert sum(len(v) for v in result.values()) == int(batch.detected.sum())
+        (tally,) = tally_blocks(batch, len(batch))
+        assert np.array_equal(tally.sifted, tally.detected)
 
     def test_sifted_fraction_is_half(self):
         src = all_signal_source(mu=20.0)  # essentially every pulse detected
         batch = generate_pulses(100_000, src, 16)
         transmit(batch, ChannelParams(**LOSSLESS), 1.0, np.random.default_rng(17))
-        part = sift(batch)[IntensityClass.SIGNAL]
-        frac = len(part) / int(batch.detected.sum())
-        assert abs(frac - 0.5) < _binomial_5sigma(0.5, int(batch.detected.sum()))
+        (tally,) = tally_blocks(batch, len(batch))
+        detected = int(tally.detected.sum())
+        frac = int(tally.sifted[IntensityClass.SIGNAL]) / detected
+        assert abs(frac - 0.5) < _binomial_5sigma(0.5, detected)
 
     def test_empty_input(self):
         empty = PulseBatch(
@@ -193,8 +182,7 @@ class TestSift:
             detected_bit=np.zeros(0, np.int8),
             detector_basis=np.zeros(0, np.int8),
         )
-        result = sift(empty)
-        assert all(len(v) == 0 for v in result.values())
+        assert tally_blocks(empty) == []
 
 
 class TestBlockTallies:

@@ -130,6 +130,13 @@ class TestFriedChain:
             4.0 * cn2_from_fried(0.17, GEOMETRY), rel=1e-12
         )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_geometry_rejected(self, value):
+        for fields in ({"length_m": value, "wavelength_m": 850e-9},
+                       {"length_m": 210.0, "wavelength_m": value}):
+            with pytest.raises(ValidationError):
+                LinkGeometry(**fields)
+
     def test_zero_sigma_rejected(self):
         with pytest.raises(DegenerateInputError):
             fried_parameter(0.0, GEOMETRY)
@@ -179,6 +186,12 @@ class TestSynthesis:
     def test_oversized_spot_rejected(self):
         with pytest.raises(ValidationError):
             SpotModel(rows=32, cols=32, pitch_mm=0.05, waist_mm=1.0)
+
+    @pytest.mark.parametrize("name", ["pitch_mm", "waist_mm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spot_rejected(self, name, value):
+        with pytest.raises(ValidationError):
+            SpotModel(**{name: value})
 
     def test_deterministic_per_seed(self):
         a = synthesize_frames(3, SpotModel(), 0.3e-3, rng_seed=9)
