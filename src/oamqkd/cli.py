@@ -285,6 +285,8 @@ def cmd_turbulence(args) -> int:
         wavelength_m=values["geometry.wavelength_nm"] * 1e-9,
     )
     beam_radius_m = values["geometry.beam_radius_m"]
+    if not beam_radius_m > 0.0:
+        raise UsageError(f"geometry.beam_radius_m must be positive, got {beam_radius_m}")
     out = Path(args.out)
 
     if args.sigma_m_mm is not None:
@@ -347,6 +349,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"sweep needs a non-empty grid, got points={points}")
     if not 0.0 < q_min <= q_max:
         raise UsageError(f"need 0 < q_mu_min <= q_mu_max, got {q_min}, {q_max}")
+    if not measured_gain > 0.0:
+        raise UsageError(f"sweep.measured_gain must be positive, got {measured_gain}")
 
     grid = np.logspace(math.log10(q_min), math.log10(q_max), points)
     curve = lb.rate_vs_gain(grid, params)

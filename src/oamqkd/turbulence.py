@@ -41,10 +41,11 @@ class IntensityFrame:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise ValidationError(f"frame must be a non-empty 2-d grid, got shape {values.shape}")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        # NaN fails both comparisons; neither allocates a per-pixel temporary.
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise ValidationError("frame intensities must be finite and non-negative")
-        if self.pitch_mm <= 0.0:
-            raise ValidationError(f"pixel pitch must be positive, got {self.pitch_mm}")
+        if not 0.0 < self.pitch_mm < math.inf:
+            raise ValidationError(f"pixel pitch must be positive and finite, got {self.pitch_mm}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -90,18 +91,19 @@ class TurbulenceEstimate:
     cn2: float
 
     def __post_init__(self) -> None:
-        if self.sigma_m <= 0.0 or self.r0 <= 0.0 or self.cn2 <= 0.0:
-            raise ValidationError("turbulence estimate fields must be positive")
+        if not all(0.0 < v < math.inf for v in (self.sigma_m, self.r0, self.cn2)):
+            raise ValidationError("turbulence estimate fields must be positive and finite")
 
 
 def centroid(frame: IntensityFrame) -> CentroidSample:
     """Intensity-weighted mean of pixel centers, scaled by the pitch."""
-    total = float(frame.values.sum())
+    row_sums = frame.values.sum(axis=1)
+    total = float(row_sums.sum())
     if total <= 0.0:
         raise DegenerateInputError("cannot take the centroid of an all-zero frame")
     rows = np.arange(frame.rows) + 0.5
     cols = np.arange(frame.cols) + 0.5
-    y = float((frame.values.sum(axis=1) @ rows) / total) * frame.pitch_mm
+    y = float((row_sums @ rows) / total) * frame.pitch_mm
     x = float((frame.values.sum(axis=0) @ cols) / total) * frame.pitch_mm
     return CentroidSample(x_mm=x, y_mm=y)
 
@@ -194,28 +196,32 @@ def synthesize_frames(
 
     The per-axis wander standard deviation is ``wander_std_m`` (meters);
     zero freezes the spot at the frame center.  Deterministic per seed.
+
+    The profile is separable: ``exp(-2 r^2 / w^2)`` is the outer product of a
+    row profile ``exp(-2 dy^2 / w^2)`` and a column profile
+    ``exp(-2 dx^2 / w^2)``, so each frame costs ``rows + cols`` exponentials.
+    All frames are slices of one ``(n, rows, cols)`` buffer.
     """
     if n <= 0:
         raise ValidationError(f"frame count must be positive, got {n}")
     if wander_std_m < 0.0:
         raise ValidationError("wander standard deviation must be non-negative")
     gen = np.random.default_rng(rng_seed)
+    offsets = gen.normal(0.0, wander_std_m * MM_PER_M, size=(n, 2))
     x = (np.arange(spot.cols) + 0.5) * spot.pitch_mm
     y = (np.arange(spot.rows) + 0.5) * spot.pitch_mm
-    xx, yy = np.meshgrid(x, y)
-    cx0 = 0.5 * spot.cols * spot.pitch_mm
-    cy0 = 0.5 * spot.rows * spot.pitch_mm
-    offsets = gen.normal(0.0, wander_std_m * MM_PER_M, size=(n, 2))
-
-    frames = []
+    cx = 0.5 * spot.cols * spot.pitch_mm + offsets[:, :1]
+    cy = 0.5 * spot.rows * spot.pitch_mm + offsets[:, 1:]
     w_sq = spot.waist_mm**2
-    for dx, dy in offsets:
-        r_sq = (xx - (cx0 + dx)) ** 2 + (yy - (cy0 + dy)) ** 2
-        values = np.exp(-2.0 * r_sq / w_sq)
-        if spot.profile == "annular":
-            values = values * (r_sq / w_sq)
-        frames.append(IntensityFrame(values=values, pitch_mm=spot.pitch_mm))
-    return frames
+    ux = (x - cx) ** 2 / w_sq  # (n, cols): dx^2 / w^2
+    uy = (y - cy) ** 2 / w_sq  # (n, rows): dy^2 / w^2
+    values = np.exp(-2.0 * uy)[:, :, None] * np.exp(-2.0 * ux)[:, None, :]
+    if spot.profile == "annular":
+        r_sq = np.empty((spot.rows, spot.cols))  # r^2 / w^2, reused frame by frame
+        for frame, uy_i, ux_i in zip(values, uy, ux):
+            np.add(uy_i[:, None], ux_i, out=r_sq)
+            frame *= r_sq
+    return [IntensityFrame(values=v, pitch_mm=spot.pitch_mm) for v in values]
 
 
 def read_frame(path) -> IntensityFrame:

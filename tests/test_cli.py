@@ -226,6 +226,29 @@ class TestTurbulence:
                      "--out", str(tmp_path / "o")]) == 1
         assert "a.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["-1", "0"])
+    def test_non_positive_beam_radius_exits_1(self, tmp_path, radius):
+        out = tmp_path / "out"
+        rc = main(["turbulence", "--sigma-m-mm", "0.33", "--beam-radius-m", radius,
+                   "--out", str(out)])
+        assert rc == 1
+        assert not (out / "estimate.txt").exists()
+
+    @pytest.mark.parametrize("pitch", ["nan", "inf"])
+    def test_non_finite_header_pitch_exits_1(self, tmp_path, capsys, pitch):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        spot = SpotModel(rows=32, cols=32, pitch_mm=0.1, waist_mm=0.4)
+        for i, frame in enumerate(synthesize_frames(3, spot, 0.2e-3, rng_seed=15)):
+            write_frame(frames_dir / f"frame_{i:03d}.txt", frame)
+        path = frames_dir / "frame_001.txt"
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text(f"32 32 {pitch}\n{body}")
+        out = tmp_path / "out"
+        assert main(["turbulence", "--frames", str(frames_dir), "--out", str(out)]) == 1
+        assert "frame_001.txt" in capsys.readouterr().err
+        assert not (out / "estimate.txt").exists()
+
     def test_frozen_spot_exits_2(self, tmp_path):
         rc = main(["turbulence", "--synthetic", "--n-frames", "10",
                    "--wander-std-mm", "0", "--out", str(tmp_path / "o")])
@@ -272,6 +295,12 @@ class TestSweep:
 
     def test_empty_grid_exits_1(self, tmp_path):
         assert main(["sweep", "--points", "0", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("gain", ["0", "-1"])
+    def test_non_positive_measured_gain_exits_1_before_writing(self, tmp_path, gain):
+        out = tmp_path / "out"
+        assert main(["sweep", "--measured-gain", gain, "--out", str(out)]) == 1
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_determinism(self, tmp_path):
         for name in ("a", "b"):

@@ -11,6 +11,7 @@ from oamqkd import (
     IntensityFrame,
     LinkGeometry,
     SpotModel,
+    TurbulenceEstimate,
     ValidationError,
     centroid,
     cn2_from_fried,
@@ -57,6 +58,18 @@ class TestCentroid:
         values[0, 0] = -1.0
         with pytest.raises(ValidationError):
             IntensityFrame(values=values, pitch_mm=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intensity_rejected(self, value):
+        values = np.ones((3, 4))
+        values[1, 2] = value
+        with pytest.raises(ValidationError):
+            IntensityFrame(values=values, pitch_mm=1.0)
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_pitch_rejected(self, pitch):
+        with pytest.raises(ValidationError):
+            IntensityFrame(values=np.ones((3, 4)), pitch_mm=pitch)
 
 
 class TestWanderSigma:
@@ -141,6 +154,14 @@ class TestFriedChain:
         with pytest.raises(DegenerateInputError):
             fried_parameter(0.0, GEOMETRY)
 
+    @pytest.mark.parametrize("field", ["sigma_m", "r0", "cn2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_estimate_rejects_non_finite_or_zero_fields(self, field, value):
+        fields = dict(sigma_m=3.3e-4, r0=0.17, cn2=3.9e-15)
+        fields[field] = value
+        with pytest.raises(ValidationError):
+            TurbulenceEstimate(**fields)
+
     def test_weak_turbulence_flag(self):
         assert is_weak_turbulence(0.015, 0.17)
         assert not is_weak_turbulence(0.20, 0.17)
@@ -192,6 +213,22 @@ class TestSynthesis:
     def test_non_finite_spot_rejected(self, name, value):
         with pytest.raises(ValidationError):
             SpotModel(**{name: value})
+
+    @pytest.mark.parametrize("profile", ["gaussian", "annular"])
+    def test_frames_match_direct_formula(self, profile):
+        """Each frame equals exp(-2 r^2/w^2) (times r^2/w^2 if annular) on a non-square grid."""
+        spot = SpotModel(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5, profile=profile)
+        n, wander_mm, seed = 6, 0.3, 14
+        frames = synthesize_frames(n, spot, wander_mm * 1e-3, rng_seed=seed)
+        offsets = np.random.default_rng(seed).normal(0.0, wander_mm, size=(n, 2))
+        xx, yy = np.meshgrid((np.arange(56) + 0.5) * 0.1, (np.arange(40) + 0.5) * 0.1)
+        cx, cy = 0.5 * 56 * 0.1, 0.5 * 40 * 0.1
+        assert len(frames) == n
+        for frame, (dx, dy) in zip(frames, offsets):
+            r_sq = ((xx - (cx + dx)) ** 2 + (yy - (cy + dy)) ** 2) / 0.5**2
+            expected = np.exp(-2.0 * r_sq) * (r_sq if profile == "annular" else 1.0)
+            assert frame.values.shape == (40, 56)
+            assert np.max(np.abs(frame.values - expected)) <= 1e-13 * expected.max()
 
     def test_deterministic_per_seed(self):
         a = synthesize_frames(3, SpotModel(), 0.3e-3, rng_seed=9)
