@@ -50,6 +50,7 @@ from .optics import (
     rotate_frame,
 )
 from .simulator import (
+    BlockSeries,
     BlockTally,
     ChannelParams,
     IntensityClass,

@@ -178,19 +178,15 @@ def cmd_simulate(args) -> int:
     )
 
     out = Path(args.out)
-    rows = []
-    for tally in session.blocks:
-        gains, qbers = tally.gains, tally.qbers
-        for cls in sim.IntensityClass:
-            i = int(cls)
-            rows.append(
-                (tally.block_index, cls.name.lower(), int(tally.sent[i]), int(tally.detected[i]),
-                 int(tally.sifted[i]), int(tally.errors[i]), float(gains[i]), float(qbers[i]))
-            )
+    blocks = session.blocks
+    columns = [a.tolist() for a in (blocks.sent, blocks.detected, blocks.sifted, blocks.errors,
+                                    blocks.gains, blocks.qbers)]
+    classes = [cls.name.lower() for cls in sim.IntensityClass]
     write_csv(
         out / "blocks.csv",
         ("block_index", "class", "sent", "detected", "sifted", "errors", "gain", "qber"),
-        rows,
+        [(b, name, *(column[b][i] for column in columns))
+         for b in range(len(blocks)) for i, name in enumerate(classes)],
     )
 
     obs = session.observables
@@ -270,9 +266,11 @@ def cmd_keyrate(args) -> int:
             rows.append((obs.e_mu, ec.f * binary_entropy(obs.e_mu), rate, rate > 0.0))
         else:
             b = secret_key_rate(obs, ec)
-            rows.append((b.q1_lower, b.e1_upper, b.q0, b.leak_ec, b.rate, b.secure))
+            rows.append((b.q1_lower, b.e1_upper, b.q0, b.leak_ec, b.rate, b.secure,
+                         b.q1_clamped, b.e1_clamped))
     header = (("e_mu", "leak_ec", "rate", "secure") if args.single_photon
-              else ("q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure"))
+              else ("q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure",
+                    "q1_clamped", "e1_clamped"))
     write_csv(out / "keyrate.csv", header, rows, float_format=FULL_FLOAT_FORMAT)
     print(f"wrote {out / 'keyrate.csv'}", file=sys.stderr)
     return EXIT_OK

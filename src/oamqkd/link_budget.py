@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ThresholdUndefinedError, ValidationError
 from .keyrate import DecoyObservables, ECModel, KeyRateBreakdown, secret_key_rate
+from .simulator import SourceParams
 
 _SCAN_FLOOR = 1e-7
 _SCAN_RATIO = 10.0
@@ -28,10 +29,10 @@ _BISECTIONS = 100
 class LinkBudgetParams:
     """Inputs of the gain sweep; ``y0`` defaults to ``dark_rate * gate``."""
 
-    mu: float = 0.623
-    nu: float = 0.165
+    mu: float = SourceParams.mu
+    nu: float = SourceParams.nu
     e_ch: float = 0.02
-    f: float = 1.05
+    f: float = ECModel.f
     dark_rate: float = 100.0
     gate: float = 50e-9
     y0: Optional[float] = None

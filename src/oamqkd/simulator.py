@@ -2,10 +2,13 @@
 
 Pulses are i.i.d. given their block's scintillation multiplier, so each
 block's counts are drawn at once from their exact multinomial law over 36
-categories (intensity class x photon number x outcome).  Every block draws
-its randomness from an independent Philox (counter-based) stream derived from
-the master seed, the stream name, and the block index, so results are
-reproducible and do not depend on how the blocks are scheduled.
+categories (intensity class x photon number x outcome).  A session is one
+``(n_blocks, 3, 3, 4)`` counts array: the laws of all its blocks come from
+one evaluation of that law over the blocks' multipliers, and
+:class:`BlockSeries` holds the per-block tallies as ``(n_blocks, 3)`` arrays.
+Every block draws its randomness from an independent Philox (counter-based)
+stream derived from the master seed, the stream name, and the block index, so
+results are reproducible and do not depend on how the blocks are scheduled.
 
 Detection outcomes follow the exact single-qubit Born probabilities from
 :mod:`oamqkd.optics`: the transmitted state is frame-rotated by the channel
@@ -18,10 +21,12 @@ encoding does not.  The pulse-level path (:func:`generate_pulses`,
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +36,9 @@ from .optics import Encoding, basis, embed_hybrid, measure_probabilities, rotate
 
 _PROB_SUM_TOL = 1e-9
 _BASIS_LABELS = ("Z", "X")
+_MASK32 = 0xFFFFFFFF
+#: Blocks whose generators are alive at once in a session; bounds its memory.
+_CHUNK_BLOCKS = 4096
 
 #: Pulses per block, unless a caller says otherwise.
 DEFAULT_BLOCK_SIZE = 2880
@@ -129,9 +137,22 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def block_generator(master_seed: int, stream: str, block_index: int) -> np.random.Generator:
-    """Independent counter-based generator for one block of one named stream."""
-    tag = zlib.crc32(stream.encode("utf-8"))
-    seed_seq = np.random.SeedSequence([int(master_seed), tag, int(block_index)])
+    """Independent counter-based generator for one block of one named stream.
+
+    The entropy is ``[master_seed, crc32(stream), block_index]``, handed to
+    ``SeedSequence`` as the little-endian uint32 words numpy would split that
+    list into (at least one per integer), so the stream is the list's.
+    """
+    words = []
+    for value in (int(master_seed), zlib.crc32(stream.encode("utf-8")), int(block_index)):
+        if value < 0:
+            raise ValidationError(f"seed and block index must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    seed_seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
@@ -165,7 +186,7 @@ def detection_bit_probabilities(theta: float, encoding: Encoding) -> np.ndarray:
 
     Hybrid states are pushed through the full product space (embed, rotate,
     project) so the table reflects the rotation physics rather than assuming
-    invariance.
+    invariance.  The table is cached and shared, so it is read only.
     """
     table = np.empty((2, 2, 2))
     for a in (0, 1):
@@ -178,6 +199,7 @@ def detection_bit_probabilities(theta: float, encoding: Encoding) -> np.ndarray:
             for b in (0, 1):
                 _, p1 = measure_probabilities(rotated, basis(_BASIS_LABELS[b], encoding))
                 table[a, bit, b] = p1
+    table.flags.writeable = False
     return table
 
 
@@ -223,6 +245,12 @@ def transmit(pulses, ch: ChannelParams, block_transmission_multiplier: float = 1
     return pulses
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den elementwise; NaN where den is 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / den, np.nan)
+
+
 @dataclass(eq=False)
 class BlockTally:
     """Per-class counts for one block of consecutive pulses."""
@@ -237,14 +265,12 @@ class BlockTally:
     @property
     def gains(self) -> np.ndarray:
         """detected/sent per class; NaN where nothing was sent."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.sent > 0, self.detected / self.sent, np.nan)
+        return _ratio(self.detected, self.sent)
 
     @property
     def qbers(self) -> np.ndarray:
         """errors/sifted per class; NaN where nothing was sifted."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.sifted > 0, self.errors / self.sifted, np.nan)
+        return _ratio(self.errors, self.sifted)
 
     def gain(self, cls: IntensityClass) -> float:
         return float(self.gains[int(cls)])
@@ -255,10 +281,57 @@ class BlockTally:
     @classmethod
     def from_counts(cls, block_index: int, counts: np.ndarray) -> "BlockTally":
         """Tally of one block's class x photon-number x outcome counts (3x3x4)."""
-        per_outcome = counts.sum(axis=1)
-        sent = per_outcome.sum(axis=1)
-        return cls(block_index, int(sent.sum()), sent, sent - per_outcome[:, 0],
-                   per_outcome[:, 2] + per_outcome[:, 3], per_outcome[:, 3])
+        sent, detected, sifted, errors = _class_tallies(counts)
+        return cls(block_index, int(sent.sum()), sent, detected, sifted, errors)
+
+
+def _class_tallies(counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sent, detected, sifted and errors per class of ``(..., 3, 3, 4)`` counts."""
+    per_outcome = counts.sum(axis=-2)
+    sent = per_outcome.sum(axis=-1)
+    return (sent, sent - per_outcome[..., 0], per_outcome[..., 2] + per_outcome[..., 3],
+            per_outcome[..., 3])
+
+
+class BlockSeries(Sequence):
+    """Tallies of a session's blocks as ``(n_blocks, 3)`` arrays, block x class.
+
+    ``sent``, ``detected``, ``sifted`` and ``errors`` are counts; ``gains``
+    (detected/sent) and ``qbers`` (errors/sifted) are NaN where the count
+    below them is 0.  Indexing and iteration give one :class:`BlockTally`
+    per block, whose arrays are rows of these.
+    """
+
+    def __init__(self, sent: np.ndarray, detected: np.ndarray, sifted: np.ndarray,
+                 errors: np.ndarray) -> None:
+        self.sent, self.detected, self.sifted, self.errors = sent, detected, sifted, errors
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        return _ratio(self.detected, self.sent)
+
+    @cached_property
+    def qbers(self) -> np.ndarray:
+        return _ratio(self.errors, self.sifted)
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "BlockSeries":
+        """Series of ``(n_blocks, 3, 3, 4)`` class x photon-number x outcome counts."""
+        return cls(*_class_tallies(counts))
+
+    @classmethod
+    def from_tallies(cls, tallies: Sequence[BlockTally]) -> "BlockSeries":
+        """Series of per-block tallies, in their order."""
+        return cls(*(np.array([getattr(t, name) for t in tallies]).reshape(-1, 3)
+                     for name in ("sent", "detected", "sifted", "errors")))
+
+    def __len__(self) -> int:
+        return self.sent.shape[0]
+
+    def __getitem__(self, index: int) -> BlockTally:
+        b = range(len(self))[index]  # IndexError past the end stops iteration
+        return BlockTally(b, int(self.sent[b].sum()), self.sent[b], self.detected[b],
+                          self.sifted[b], self.errors[b])
 
 
 def _tally_slice(pulses: PulseBatch, lo: int, hi: int, block_index: int) -> BlockTally:
@@ -290,18 +363,21 @@ def tally_blocks(pulses: PulseBatch, block_size: int = DEFAULT_BLOCK_SIZE) -> li
     ]
 
 
-def estimate_observables(blocks: Sequence[BlockTally], src: SourceParams) -> DecoyObservables:
+def estimate_observables(
+    blocks: BlockSeries | Sequence[BlockTally], src: SourceParams
+) -> DecoyObservables:
     """Pool block tallies into session-level decoy observables.
 
     Gains are detected/sent per class, QBERs are errors/sifted per class and
     the vacuum yield is detected/sent among empty pulses.
     """
-    if not blocks:
+    if not len(blocks):
         raise EstimationError("no blocks to estimate from")
-    sent = np.sum([b.sent for b in blocks], axis=0)
-    detected = np.sum([b.detected for b in blocks], axis=0)
-    sifted = np.sum([b.sifted for b in blocks], axis=0)
-    errors = np.sum([b.errors for b in blocks], axis=0)
+    if not isinstance(blocks, BlockSeries):
+        blocks = BlockSeries.from_tallies(blocks)
+    sent, detected, sifted, errors = (
+        a.sum(axis=0) for a in (blocks.sent, blocks.detected, blocks.sifted, blocks.errors)
+    )
 
     if np.any(sent == 0):
         missing = [cls.name for cls in IntensityClass if sent[int(cls)] == 0]
@@ -337,31 +413,41 @@ class SinglePhotonStats:
 class SessionTally:
     """Outcome of a simulated session: block series plus pooled observables."""
 
-    blocks: list[BlockTally]
+    blocks: BlockSeries
     observables: DecoyObservables
     single_photon: SinglePhotonStats
     src: SourceParams = field(repr=False, default=SourceParams())
     ch: ChannelParams = field(repr=False, default=ChannelParams())
 
 
-@lru_cache(maxsize=1)  # a session without scintillation reuses one law for every block
-def _block_law(src: SourceParams, ch: ChannelParams, multiplier: float) -> np.ndarray:
-    """Law of one pulse of :func:`generate_pulses` then :func:`transmit`, shaped 3x3x4.
+def _block_law(src: SourceParams, ch: ChannelParams, multipliers) -> np.ndarray:
+    """Law of one pulse of :func:`generate_pulses` then :func:`transmit`, per multiplier.
 
-    Axes: intensity class, photon number {0, 1, >=2}, outcome {undetected,
-    basis mismatch, sifted-correct, sifted-error}.  The array is shared: read only.
+    Shaped ``np.shape(multipliers) + (3, 3, 4)``; the last three axes are
+    intensity class, photon number {0, 1, >=2} and outcome {undetected, basis
+    mismatch, sifted-correct, sifted-error}.  Each law is computed from its
+    own multiplier alone, so it does not depend on the others.
     """
-    p = min(1.0, ch.eta * multiplier)
+    shape = np.shape(multipliers)
+    p = np.minimum(1.0, ch.eta * np.asarray(multipliers, dtype=float))[..., None]
+    q = 1.0 - p
     lam = np.asarray(src.intensities)
     e_lam = np.exp(-lam)
-    q = 1.0 - p
+    lam_e_lam = lam * e_lam
+    # class x photon number, split by whether some photon survives
+    clicked = np.zeros(shape + (3, 3))
+    unclicked = np.empty(shape + (3, 3))
+    clicked[..., 1] = lam_e_lam * p
+    unclicked[..., 0] = e_lam
+    unclicked[..., 1] = lam_e_lam * q
     # P(n >= 2, some photon survives) and P(n >= 2, none does): a Poisson total
     # minus its n <= 1 part, in expm1 form; rounding can leave them just below 0
-    multi_click = np.maximum(-np.expm1(-lam * p) - lam * e_lam * p, 0.0)
-    multi_lost = np.maximum(-np.exp(-lam * p) * np.expm1(-lam * q) - lam * e_lam * q, 0.0)
+    clicked[..., 2] = np.maximum(-np.expm1(-lam * p) - lam_e_lam * p, 0.0)
+    unclicked[..., 2] = np.maximum(
+        -np.exp(-lam * p) * np.expm1(-lam * q) - lam_e_lam * q, 0.0)
     weight = np.asarray(src.class_probabilities)[:, None]
-    clicked = weight * np.stack([np.zeros(3), lam * e_lam * p, multi_click], axis=1)
-    unclicked = weight * np.stack([e_lam, lam * e_lam * q, multi_lost], axis=1)
+    clicked *= weight
+    unclicked *= weight
 
     table = detection_bit_probabilities(ch.theta, ch.encoding)
     raw = 0.25 * (table[0, 0, 0] + table[1, 0, 1] + 2.0 - table[0, 1, 0] - table[1, 1, 1])
@@ -369,13 +455,52 @@ def _block_law(src: SourceParams, ch: ChannelParams, multiplier: float) -> np.nd
     photon_only = clicked * (1.0 - ch.y0)
     dark_only = unclicked * ch.y0
     both = clicked * ch.y0  # the dark bit agrees or a fresh coin decides
-    detected = photon_only + dark_only + both
-    errors = 0.5 * (photon_only * e_p + 0.5 * dark_only + both * (0.5 * e_p + 0.25))
-    correct = 0.5 * (photon_only * (1.0 - e_p) + 0.5 * dark_only + both * (0.75 - 0.5 * e_p))
-    law = np.stack([unclicked * (1.0 - ch.y0), 0.5 * detected, correct, errors], axis=2)
-    law /= law.sum()
+    law = np.empty(shape + (3, 3, 4))
+    law[..., 0] = unclicked * (1.0 - ch.y0)
+    law[..., 1] = 0.5 * (photon_only + dark_only + both)
+    law[..., 2] = 0.5 * (photon_only * (1.0 - e_p) + 0.5 * dark_only + both * (0.75 - 0.5 * e_p))
+    law[..., 3] = 0.5 * (photon_only * e_p + 0.5 * dark_only + both * (0.5 * e_p + 0.25))
+    flat = law.reshape(-1, 36)
+    flat /= flat.sum(axis=1, keepdims=True)
+    return law
+
+
+@lru_cache(maxsize=1)  # repeated sessions on one link without scintillation share it
+def _stationary_law(src: SourceParams, ch: ChannelParams) -> np.ndarray:
+    """:func:`_block_law` at multiplier 1, flattened to 36 categories; read only."""
+    law = _block_law(src, ch, 1.0).ravel()
     law.flags.writeable = False
     return law
+
+
+def _draw_blocks(
+    src: SourceParams,
+    ch: ChannelParams,
+    block_size: int,
+    master_seed: int,
+    stream: str,
+    block_indices: range,
+) -> np.ndarray:
+    """Counts of the given blocks, shaped ``(len(block_indices), 3, 3, 4)``.
+
+    Each block draws on its own stream, in this order: its scintillation
+    multiplier (only when sigma > 0), then its counts from :func:`_block_law`.
+    """
+    sigma = ch.block_scintillation_sigma
+    counts = np.empty((len(block_indices), 36), dtype=np.int64)
+    for lo in range(0, len(block_indices), _CHUNK_BLOCKS):
+        gens = [block_generator(master_seed, stream, b)
+                for b in block_indices[lo:lo + _CHUNK_BLOCKS]]
+        if sigma > 0.0:
+            # mean-corrected log-normal: E[multiplier] = 1
+            normals = np.array([gen.standard_normal() for gen in gens])
+            multipliers = np.exp(sigma * normals - 0.5 * sigma * sigma)
+            laws = _block_law(src, ch, multipliers).reshape(len(gens), 36)
+        else:
+            laws = repeat(_stationary_law(src, ch))
+        for row, gen, law in zip(counts[lo:], gens, laws):
+            row[:] = gen.multinomial(block_size, law)
+    return counts.reshape(-1, 3, 3, 4)
 
 
 def simulate_block(
@@ -386,14 +511,9 @@ def simulate_block(
     stream: str,
     block_index: int,
 ) -> np.ndarray:
-    """Draw one block's 3x3x4 counts from :func:`_block_law` on its own stream."""
-    gen = block_generator(master_seed, stream, block_index)
-    multiplier = 1.0
-    sigma = ch.block_scintillation_sigma
-    if sigma > 0.0:
-        # mean-corrected log-normal: E[multiplier] = 1
-        multiplier = float(np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma))
-    return gen.multinomial(block_size, _block_law(src, ch, multiplier).ravel()).reshape(3, 3, 4)
+    """Draw one block's 3x3x4 counts, as :func:`run_session` draws that block."""
+    return _draw_blocks(src, ch, block_size, master_seed, stream,
+                        range(block_index, block_index + 1))[0]
 
 
 def run_session(
@@ -414,11 +534,9 @@ def run_session(
         raise ValidationError(
             f"need 0 < block_size <= n_pulses, got block_size={block_size}, n_pulses={n_pulses}"
         )
-    n_blocks = n_pulses // block_size
-    counts = np.stack(
-        [simulate_block(src, ch, block_size, master_seed, stream, b) for b in range(n_blocks)]
-    )
-    blocks = [BlockTally.from_counts(b, counts[b]) for b in range(n_blocks)]
+    counts = _draw_blocks(src, ch, block_size, master_seed, stream,
+                          range(n_pulses // block_size))
+    blocks = BlockSeries.from_counts(counts)
 
     one = counts[:, int(IntensityClass.SIGNAL), 1].sum(axis=0)
     signal_sent = int(counts[:, int(IntensityClass.SIGNAL)].sum())

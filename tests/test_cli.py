@@ -115,8 +115,10 @@ class TestKeyrate:
         assert main(["keyrate", "--csv", str(table), "--out", str(out)]) == 0
         rows = read_csv(out / "keyrate.csv")
         assert len(rows) == 4
-        assert set(rows[0]) == {"q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure"}
+        assert list(rows[0]) == ["q1_lower", "e1_upper", "q0", "leak_ec", "rate", "secure",
+                                 "q1_clamped", "e1_clamped"]
         assert all(float(r["rate"]) > 0 and r["secure"] == "true" for r in rows)
+        assert all(r["q1_clamped"] == r["e1_clamped"] == "false" for r in rows)
 
     def test_inline_flags(self, tmp_path):
         out = tmp_path / "out"
@@ -175,6 +177,7 @@ class TestKeyrate:
         (row,) = read_csv(out / "keyrate.csv")
         assert row["q1_lower"] == "0" and row["rate"] == "0.8938883710215404"
         assert row["secure"] == "false"
+        assert row["q1_clamped"] == "true"
 
     def test_inconsistent_intensities_exit_1(self, tmp_path):
         rc = main(["keyrate", "--mu", "0.1", "--nu", "0.6", "--q-mu", "1e-2",

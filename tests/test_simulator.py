@@ -1,6 +1,7 @@
 """Monte Carlo link simulation: generation, transmission, sifting, tallies."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from oamqkd import (
     transmit,
 )
 from oamqkd.keyrate import e1_upper
-from oamqkd.simulator import _block_law, block_generator, simulate_block
+from oamqkd.simulator import (
+    BlockSeries,
+    _block_law,
+    block_generator,
+    detection_bit_probabilities,
+    simulate_block,
+)
 
 LOSSLESS = dict(eta_ch=1.0, eta_c=1.0, eta_d=1.0)
 
@@ -289,6 +296,24 @@ class TestBlockLaw:
             assert clicked == pytest.approx(np.sum(pmf * (1.0 - lost)), rel=1e-10, abs=0.0)
             assert unclicked == pytest.approx(np.sum(pmf * lost), rel=1e-10, abs=0.0)
 
+    def test_array_form_matches_scalar_law_bit_for_bit(self):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.5, eta_c=1.0, eta_d=1.0, e_ch=0.03, y0=0.05,
+                           theta=math.radians(15.0), encoding=Encoding.POLARIZATION,
+                           block_scintillation_sigma=0.3)
+        normals = np.random.default_rng(61).standard_normal(320)
+        multipliers = np.concatenate([np.exp(0.3 * normals - 0.045), [1e-9, 1.0, 1e3]])
+        laws = _block_law(src, ch, multipliers)
+        assert laws.shape == (len(multipliers), 3, 3, 4)
+        for law, multiplier in zip(laws, multipliers):
+            assert np.array_equal(law, _block_law(src, ch, float(multiplier)))
+
+    def test_detection_table_is_read_only(self):
+        table = detection_bit_probabilities(0.0, Encoding.HYBRID)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.5
+        assert table[0, 0, 0] == 0.0
+
     def test_law_is_a_distribution_at_extreme_survival(self):
         for mu, eta in ((1e-12, 1.0 - 6e-16), (0.623, 1.0), (0.623, 0.0), (1e4, 0.5)):
             law = _block_law(SourceParams(mu=mu, nu=mu / 3),
@@ -365,6 +390,58 @@ class TestSessionContracts:
             other = out_of_order[tally.block_index]
             assert np.array_equal(tally.detected, other.detected)
             assert np.array_equal(tally.errors, other.errors)
+
+    def test_block_schedule_invariance_with_scintillation(self):
+        """Each block's multiplier comes from its own stream, not from the schedule."""
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
+                           block_scintillation_sigma=0.3)
+        session = run_session(src, ch, 40_000, block_size=4_000, master_seed=39)
+        for b in (7, 2, 9, 0, 5, 1, 8, 3, 6, 4):
+            tally = BlockTally.from_counts(b, simulate_block(src, ch, 4_000, 39, "simulate", b))
+            for name in ("sent", "detected", "sifted", "errors"):
+                assert np.array_equal(getattr(session.blocks[b], name), getattr(tally, name))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_chunked_draws_equal_one_chunk(self, monkeypatch, sigma):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, block_scintillation_sigma=sigma)
+        whole = run_session(src, ch, 40_000, block_size=4_000, master_seed=41)
+        monkeypatch.setattr("oamqkd.simulator._CHUNK_BLOCKS", 3)
+        chunked = run_session(src, ch, 40_000, block_size=4_000, master_seed=41)
+        for name in ("sent", "detected", "sifted", "errors"):
+            assert np.array_equal(getattr(chunked.blocks, name), getattr(whole.blocks, name))
+
+    def test_block_series_rows_are_the_block_tallies(self):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
+        counts = np.stack([simulate_block(src, ch, 3_000, 40, "simulate", b) for b in range(4)])
+        series = BlockSeries.from_counts(counts)
+        assert len(series) == 4 and series.sent.shape == (4, 3)
+        tallies = [BlockTally.from_counts(b, c) for b, c in enumerate(counts)]
+        for got, want in zip(series, tallies, strict=True):
+            assert got.block_index == want.block_index and got.block_size == want.block_size
+            for name in ("sent", "detected", "sifted", "errors", "gains", "qbers"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        assert np.array_equal(series.gains, [t.gains for t in tallies], equal_nan=True)
+        assert series[-1].block_index == 3
+        with pytest.raises(IndexError):
+            series[4]
+        assert estimate_observables(series, src) == estimate_observables(tallies, src)
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("block_index", [0, 346, 2**32])
+    def test_block_generator_matches_list_entropy(self, master_seed, block_index):
+        tag = zlib.crc32(b"simulate")
+        seed_seq = np.random.SeedSequence([master_seed, tag, block_index])
+        want = np.random.Generator(np.random.Philox(seed_seq)).integers(0, 2**63, 8)
+        got = block_generator(master_seed, "simulate", block_index).integers(0, 2**63, 8)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("master_seed, block_index", [(-1, 0), (0, -1)])
+    def test_block_generator_refuses_negative_entropy(self, master_seed, block_index):
+        with pytest.raises(ValueError):
+            block_generator(master_seed, "simulate", block_index)
 
     def test_distinct_streams_are_independent(self):
         a = block_generator(1, "simulate", 0).random(4)
