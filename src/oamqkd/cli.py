@@ -345,10 +345,12 @@ def cmd_sweep(args) -> int:
     points, measured_gain = values["sweep.points"], values["sweep.measured_gain"]
     if points <= 0:
         raise UsageError(f"sweep needs a non-empty grid, got points={points}")
-    if not 0.0 < q_min <= q_max:
-        raise UsageError(f"need 0 < q_mu_min <= q_mu_max, got {q_min}, {q_max}")
-    if not measured_gain > 0.0:
-        raise UsageError(f"sweep.measured_gain must be positive, got {measured_gain}")
+    if not 0.0 < q_min <= q_max <= 1.0:
+        raise UsageError(
+            f"need 0 < sweep.q_mu_min <= sweep.q_mu_max <= 1, got {q_min}, {q_max}"
+        )
+    if not 0.0 < measured_gain <= 1.0:
+        raise UsageError(f"sweep.measured_gain must lie in (0, 1], got {measured_gain}")
 
     grid = np.logspace(math.log10(q_min), math.log10(q_max), points)
     curve = lb.rate_vs_gain(grid, params)

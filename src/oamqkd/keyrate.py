@@ -74,8 +74,10 @@ class KeyRateBreakdown:
     """All terms entering the decoy secret key rate, plus the rate itself.
 
     ``rate`` is reported as computed, negative values included.  ``secure``
-    needs ``rate > 0`` and a positive single-photon gain bound: a rate from
-    the vacuum term alone certifies no key.
+    needs ``rate > 0``, a positive single-photon gain bound and a
+    single-photon error bound below 1/2: without the last two the
+    single-photon term is zero and a rate from the vacuum term alone
+    certifies no key.
     """
 
     q1_lower: float
@@ -97,15 +99,9 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def q1_lower(obs: DecoyObservables) -> Bounded:
-    """Lower bound on the single-photon gain of the signal class.
-
-    Evaluates
-    ``mu^2 e^-mu / (mu nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2
-    - (mu^2 - nu^2)/mu^2 * Y0)``
-    and clamps negative results (possible under statistical fluctuation of the
-    inputs) to zero with ``clamped=True``.
-    """
+def _q1_unclamped(obs: DecoyObservables) -> float:
+    """``mu^2 e^-mu / (mu nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2
+    - (mu^2 - nu^2)/mu^2 * Y0)``, negative values included."""
     mu, nu = obs.mu, obs.nu
     denom = mu * nu - nu * nu
     if denom <= 0.0:
@@ -115,7 +111,16 @@ def q1_lower(obs: DecoyObservables) -> Bounded:
         - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
         - (mu * mu - nu * nu) / (mu * mu) * obs.y0
     )
-    value = mu * mu * math.exp(-mu) / denom * bracket
+    return mu * mu * math.exp(-mu) / denom * bracket
+
+
+def q1_lower(obs: DecoyObservables) -> Bounded:
+    """Lower bound on the single-photon gain of the signal class.
+
+    Clamps negative values of the decoy bound (possible under statistical
+    fluctuation of the inputs) to zero with ``clamped=True``.
+    """
+    value = _q1_unclamped(obs)
     if value < 0.0:
         return Bounded(0.0, True)
     return Bounded(value, False)
@@ -151,26 +156,36 @@ def secret_key_rate(obs: DecoyObservables, ec: ECModel = ECModel()) -> KeyRateBr
     bound is pinned, flagged, at its pessimistic extreme.  An error bound at
     or beyond 1/2 certifies nothing, so the amplification factor is floored
     at zero there instead of letting ``1 - h2`` grow again.
+
+    Raises :class:`DomainError` where the bounds leave the float range, which
+    only observables far outside the decoy model's reach can cause.
     """
-    q1 = q1_lower(obs)
-    q0 = q0_gain(obs)
-    leak = ec.f * binary_entropy(obs.e_mu)
-    if q1.value > 0.0:
-        e1 = e1_upper(obs, q1.value, ec)
-        amplified = 1.0 - binary_entropy(min(e1.value, 0.5))
-    else:
-        e1 = Bounded(1.0, True)
-        amplified = 0.0
-    rate = q1.value / obs.q_mu * amplified - leak + q0 / obs.q_mu
+    try:
+        q1 = _q1_unclamped(obs)
+        q1_clamped = q1 < 0.0
+        if q1_clamped:
+            q1 = 0.0
+        q0 = q0_gain(obs)
+        leak = ec.f * binary_entropy(obs.e_mu)
+        if q1 > 0.0:
+            e1, e1_clamped = e1_upper(obs, q1, ec)
+            amplified = 1.0 - binary_entropy(min(e1, 0.5))
+        else:
+            e1, e1_clamped, amplified = 1.0, True, 0.0
+        rate = q1 / obs.q_mu * amplified - leak + q0 / obs.q_mu
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"decoy bounds leave the float range ({exc}) for {obs}") from None
+    if not math.isfinite(rate):
+        raise DomainError(f"key rate {rate} is not finite for {obs}")
     return KeyRateBreakdown(
-        q1_lower=q1.value,
-        e1_upper=e1.value,
+        q1_lower=q1,
+        e1_upper=e1,
         q0=q0,
         leak_ec=leak,
         rate=rate,
-        q1_clamped=q1.clamped,
-        e1_clamped=e1.clamped,
-        secure=rate > 0.0 and q1.value > 0.0,
+        q1_clamped=q1_clamped,
+        e1_clamped=e1_clamped,
+        secure=rate > 0.0 and q1 > 0.0 and e1 < 0.5,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ThresholdUndefinedError, ValidationError
@@ -42,10 +43,7 @@ class LinkBudgetParams:
             raise ValidationError(f"need finite mu > nu > 0, got mu={self.mu}, nu={self.nu}")
         if not 0.0 <= self.e_ch <= 0.5:
             raise ValidationError(f"channel QBER must lie in [0, 0.5], got {self.e_ch}")
-        if not 1.0 <= self.f < math.inf:
-            raise ValidationError(
-                f"error-correction efficiency must be finite and >= 1, got {self.f}"
-            )
+        self.ec_model  # builds and validates the ECModel once, on f
         if not (0.0 <= self.dark_rate < math.inf and 0.0 <= self.gate < math.inf):
             raise ValidationError("dark rate and gate duration must be non-negative and finite")
         if self.y0 is None:
@@ -53,7 +51,7 @@ class LinkBudgetParams:
         elif not 0.0 <= self.y0 < math.inf:
             raise ValidationError(f"y0 must be non-negative and finite, got {self.y0}")
 
-    @property
+    @cached_property
     def ec_model(self) -> ECModel:
         return ECModel(f=self.f)
 
@@ -70,22 +68,27 @@ class PredictedQbers(NamedTuple):
     e_nu_star: float
 
 
+def _starred(q: float, p: LinkBudgetParams) -> float:
+    """``E*`` at gain ``q``, the dark fraction ``Y0/Q`` clamped at 1."""
+    w = min(1.0, p.y0 / q)
+    return 0.5 * w + p.e_ch * (1.0 - w)
+
+
 def predicted_qbers(q_mu: float, p: LinkBudgetParams) -> PredictedQbers:
     """Expected signal/decoy QBERs at signal gain ``q_mu``.
 
-    The dark fraction ``Y0/Q`` is clamped at 1, so each QBER interpolates
-    between ``e_ch`` (gain far above the dark floor) and 0.5 (dark-dominated,
-    ``q_mu <= y0``).
+    Each QBER interpolates between ``e_ch`` (gain far above the dark floor)
+    and 0.5 (dark-dominated, ``q_mu <= y0``).
     """
     if q_mu <= 0.0:
         raise DomainError(f"signal gain must be positive, got {q_mu}")
+    return PredictedQbers(_starred(q_mu, p), _starred((p.nu / p.mu) * q_mu, p))
+
+
+def _observables(q_mu: float, p: LinkBudgetParams) -> DecoyObservables:
+    """The validated decoy observables expected at signal gain ``q_mu``."""
     q_nu = (p.nu / p.mu) * q_mu
-
-    def starred(q: float) -> float:
-        w = min(1.0, p.y0 / q)
-        return 0.5 * w + p.e_ch * (1.0 - w)
-
-    return PredictedQbers(starred(q_mu), starred(q_nu))
+    return DecoyObservables(p.mu, p.nu, q_mu, _starred(q_mu, p), q_nu, _starred(q_nu, p), p.y0)
 
 
 class RatePoint(NamedTuple):
@@ -98,17 +101,8 @@ class RatePoint(NamedTuple):
 
 
 def _rate_point(q_mu: float, p: LinkBudgetParams) -> RatePoint:
-    stars = predicted_qbers(q_mu, p)
-    obs = DecoyObservables(
-        mu=p.mu,
-        nu=p.nu,
-        q_mu=q_mu,
-        e_mu=stars.e_mu_star,
-        q_nu=(p.nu / p.mu) * q_mu,
-        e_nu=stars.e_nu_star,
-        y0=p.y0,
-    )
-    return RatePoint(q_mu, stars.e_mu_star, stars.e_nu_star, secret_key_rate(obs, p.ec_model))
+    obs = _observables(q_mu, p)
+    return RatePoint(q_mu, obs.e_mu, obs.e_nu, secret_key_rate(obs, p.ec_model))
 
 
 def rate_vs_gain(q_mu_grid: Sequence[float], p: LinkBudgetParams) -> list[RatePoint]:
@@ -116,8 +110,8 @@ def rate_vs_gain(q_mu_grid: Sequence[float], p: LinkBudgetParams) -> list[RatePo
     grid = [float(q) for q in q_mu_grid]
     if not grid:
         raise ValidationError("gain grid is empty")
-    if any(q <= 0.0 for q in grid):
-        raise ValidationError("gain grid values must be positive")
+    if not all(0.0 < q <= 1.0 for q in grid):
+        raise ValidationError("gain grid values must lie in (0, 1]")
     return [_rate_point(q, p) for q in grid]
 
 
@@ -131,8 +125,10 @@ def gain_threshold(p: LinkBudgetParams) -> float:
     spuriously.
     """
 
+    ec = p.ec_model
+
     def rate_at(q: float) -> float:
-        return _rate_point(q, p).breakdown.rate
+        return secret_key_rate(_observables(q, p), ec).rate
 
     hi = 1.0
     if rate_at(hi) <= 0.0:
@@ -158,6 +154,8 @@ def gain_threshold(p: LinkBudgetParams) -> float:
 
 def loss_margin_db(measured_gain: float, g_star: float) -> float:
     """Extra channel loss (dB) tolerable before the gain hits the threshold."""
-    if measured_gain <= 0.0 or g_star <= 0.0:
-        raise DomainError("gains must be positive to compute a loss margin")
+    if not (0.0 < measured_gain <= 1.0 and 0.0 < g_star <= 1.0):
+        raise DomainError(
+            f"gains must lie in (0, 1] to compute a loss margin, got {measured_gain}, {g_star}"
+        )
     return 10.0 * math.log10(measured_gain / g_star)

@@ -179,6 +179,25 @@ class TestKeyrate:
         assert row["secure"] == "false"
         assert row["q1_clamped"] == "true"
 
+    def test_error_bound_at_half_is_not_secure(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["keyrate", "--mu", "0.623", "--nu", "0.165", "--q-mu", "1e-3",
+                     "--e-mu", "0", "--q-nu", "3e-4", "--e-nu", "0.5", "--y0", "1e-4",
+                     "--out", str(out)]) == 0
+        (row,) = read_csv(out / "keyrate.csv")
+        assert float(row["q1_lower"]) > 0.0 and row["q1_clamped"] == "false"
+        assert float(row["e1_upper"]) == pytest.approx(0.7174101763, rel=1e-9)
+        assert row["rate"] == "0.053633302261292419"
+        assert row["secure"] == "false"
+
+    def test_overflowing_intensity_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["keyrate", "--mu", "800", "--nu", "0.1", *INLINE_OBSERVABLES,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "float range" in capsys.readouterr().err
+        assert not (out / "keyrate.csv").exists()
+
     def test_inconsistent_intensities_exit_1(self, tmp_path):
         rc = main(["keyrate", "--mu", "0.1", "--nu", "0.6", "--q-mu", "1e-2",
                    "--e-mu", "0.03", "--q-nu", "3e-3", "--e-nu", "0.05",
@@ -304,6 +323,22 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--measured-gain", gain, "--out", str(out)]) == 1
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--q-mu-max", "2"], ["--q-mu-min", "2"]])
+    def test_gain_grid_beyond_one_exits_1_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["sweep", *flags, "--out", str(out)]) == 1
+        assert "sweep.q_mu_max <= 1" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_measured_gain_above_one_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--measured-gain", "2", "--out", str(out)]) == 1
+        assert "sweep.measured_gain must lie in (0, 1]" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_overflowing_intensity_exits_2(self, tmp_path):
+        assert main(["sweep", "--mu", "800", "--out", str(tmp_path / "o")]) == 2
 
     def test_sweep_determinism(self, tmp_path):
         for name in ("a", "b"):

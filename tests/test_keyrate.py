@@ -16,6 +16,7 @@ from oamqkd import (
     DecoyObservables,
     DomainError,
     ECModel,
+    KeyRateBreakdown,
     ValidationError,
     binary_entropy,
     e1_upper,
@@ -25,6 +26,7 @@ from oamqkd import (
     secret_key_rate,
     single_photon_rate,
 )
+from oamqkd.keyrate import Bounded
 
 MU, NU = 0.623, 0.165
 
@@ -235,6 +237,76 @@ class TestSecretKeyRate:
         b = secret_key_rate(obs)
         assert b.q1_lower == 0.0 and b.rate > 0.0
         assert not b.secure
+
+    def test_error_bound_at_half_is_not_secure(self):
+        """With e1 >= 1/2 the single-photon term is floored to 0: Y0 alone makes the rate."""
+        obs = DecoyObservables(mu=MU, nu=NU, q_mu=1e-3, e_mu=0.0, q_nu=3e-4, e_nu=0.5, y0=1e-4)
+        b = secret_key_rate(obs)
+        assert b.q1_lower > 0.0 and not b.q1_clamped
+        assert b.e1_upper == pytest.approx(0.7174101763, rel=1e-9) and not b.e1_clamped
+        assert b.rate == b.q0 / obs.q_mu and b.rate > 0.0
+        assert not b.secure
+
+    def test_bounds_beyond_the_float_range_raise_domain_error(self):
+        """exp(mu) overflows past mu ~ 709.8; a vanishing nu makes Q1_L overflow."""
+        for obs in (
+            DecoyObservables(mu=800.0, nu=0.1, q_mu=1e-2, e_mu=0.03, q_nu=3e-3, e_nu=0.05,
+                             y0=1e-5),
+            DecoyObservables(mu=2.0, nu=1e-323, q_mu=5e-324, e_mu=0.0, q_nu=5e-324, e_nu=0.0,
+                             y0=0.0),
+        ):
+            with pytest.raises(DomainError):
+                secret_key_rate(obs)
+
+
+def assembled_breakdown(obs: DecoyObservables, ec: ECModel) -> KeyRateBreakdown:
+    """The key rate built term by term from the public bound functions."""
+    q1 = q1_lower(obs)
+    if q1.value > 0.0:
+        e1 = e1_upper(obs, q1.value, ec)
+        amplified = 1.0 - binary_entropy(min(e1.value, 0.5))
+    else:
+        e1 = Bounded(1.0, True)
+        amplified = 0.0
+    q0 = q0_gain(obs)
+    leak = ec.f * binary_entropy(obs.e_mu)
+    rate = q1.value / obs.q_mu * amplified - leak + q0 / obs.q_mu
+    return KeyRateBreakdown(
+        q1_lower=q1.value, e1_upper=e1.value, q0=q0, leak_ec=leak, rate=rate,
+        q1_clamped=q1.clamped, e1_clamped=e1.clamped,
+        secure=rate > 0.0 and q1.value > 0.0 and e1.value < 0.5,
+    )
+
+
+class TestAssembly:
+    def test_equals_breakdown_from_public_bounds(self):
+        """Bit-for-bit over 10,000 seeded observables, clamped bounds included."""
+        rng = np.random.default_rng(20261018)
+        n = 10_000
+        mu = rng.uniform(0.1, 1.2, n)
+        nu = mu * rng.uniform(0.05, 0.9, n)
+        q_mu = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        q_nu = np.minimum(1.0, q_mu * nu / mu * 10.0 ** rng.uniform(-1.0, 0.3, n))
+        y0 = np.where(rng.random(n) < 0.1, 0.0, q_nu * 10.0 ** rng.uniform(-4.0, 0.3, n))
+        e_mu, e_nu = rng.uniform(0.0, 1.0, (2, n))
+        f, e0 = rng.uniform(1.0, 1.5, n), rng.uniform(0.0, 1.0, n)
+        cases = dict(q1_clamped=0, e1_below_0=0, e1_above_1=0, unclamped=0, secure=0,
+                     e1_at_half=0)
+        for row in zip(*(a.tolist() for a in (mu, nu, q_mu, e_mu, q_nu, e_nu, y0, f, e0))):
+            obs, ec = DecoyObservables(*row[:7]), ECModel(*row[7:])
+            b = secret_key_rate(obs, ec)
+            assert b == assembled_breakdown(obs, ec), obs
+            if b.q1_clamped:
+                cases["q1_clamped"] += 1
+            elif b.e1_clamped:
+                cases["e1_below_0" if b.e1_upper == 0.0 else "e1_above_1"] += 1
+            else:
+                cases["unclamped"] += 1
+            cases["secure"] += b.secure
+            cases["e1_at_half"] += b.rate > 0.0 and b.q1_lower > 0.0 and b.e1_upper >= 0.5
+        assert cases["q1_clamped"] >= 1000 and cases["unclamped"] >= 1000, cases
+        assert cases["e1_below_0"] >= 50 and cases["e1_above_1"] >= 500, cases
+        assert cases["secure"] >= 100 and cases["e1_at_half"] >= 5, cases
 
 
 class TestSinglePhotonRate:

@@ -1,5 +1,7 @@
 """Rate-versus-gain prediction, thresholds and loss margins."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from oamqkd import (
     DecoyObservables,
     DomainError,
+    ECModel,
     LinkBudgetParams,
     ThresholdUndefinedError,
     ValidationError,
@@ -20,6 +23,64 @@ from oamqkd import (
 )
 
 DEFAULTS = LinkBudgetParams()
+
+#: The benchmark's grid, e_ch x dark rate x (mu, nu) at a 50 ns gate (36 points,
+#: each with a threshold), plus two error-correction efficiencies off the default.
+GRID = [
+    LinkBudgetParams(mu=mu, nu=nu, e_ch=e_ch, dark_rate=dark, gate=50e-9)
+    for e_ch, dark, (mu, nu) in itertools.product(
+        (0.0, 0.01, 0.02, 0.03), (10.0, 100.0, 1000.0), ((0.623, 0.165), (0.5, 0.1), (0.8, 0.2))
+    )
+] + [LinkBudgetParams(f=1.2), LinkBudgetParams(f=1.5, e_ch=0.01)]
+
+
+def direct_breakdown(q_mu, p):
+    """predicted_qbers -> DecoyObservables -> secret_key_rate, spelled out."""
+    stars = predicted_qbers(q_mu, p)
+    obs = DecoyObservables(
+        mu=p.mu, nu=p.nu, q_mu=q_mu, e_mu=stars.e_mu_star,
+        q_nu=p.nu / p.mu * q_mu, e_nu=stars.e_nu_star, y0=p.y0,
+    )
+    return stars, secret_key_rate(obs, ECModel(f=p.f))
+
+
+def reference_threshold(p):
+    """The decade scan, then a fixed 100 bisection steps: (g*, moving steps, rate calls).
+
+    Rate calls are the scan's plus one per step that moves the bracket: the
+    calls of a search that stops once the bracket stops moving.
+    """
+
+    def rate(q):
+        return direct_breakdown(q, p)[1].rate
+
+    hi, lo, evals = 1.0, 0.1, 2
+    while rate(lo) > 0.0:
+        hi, lo, evals = lo, lo / 10.0, evals + 1
+    moving_steps = 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        moving_steps += mid not in (lo, hi)
+        if rate(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), moving_steps, evals + moving_steps
+
+
+def count_rate_calls(monkeypatch):
+    """Count the calls gain_threshold makes through link_budget's secret_key_rate."""
+    import oamqkd.link_budget as lb
+
+    calls = []
+    counted = lb.secret_key_rate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(lb, "secret_key_rate", counting)
+    return calls
 
 
 class TestDarkYield:
@@ -98,6 +159,18 @@ class TestRateVsGain:
         with pytest.raises(ValidationError):
             rate_vs_gain([1e-3, 0.0], DEFAULTS)
 
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_gains_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"gain grid values must lie in \(0, 1\]"):
+            rate_vs_gain([1e-3, bad], DEFAULTS)
+
+    def test_every_grid_point_equals_the_direct_chain(self):
+        q_grid = np.logspace(-5.0, 0.0, 51)
+        for p in GRID:
+            for q_mu, point in zip(q_grid.tolist(), rate_vs_gain(q_grid, p)):
+                stars, breakdown = direct_breakdown(q_mu, p)
+                assert point == (q_mu, stars.e_mu_star, stars.e_nu_star, breakdown), (p, q_mu)
+
 
 class TestGainThreshold:
     def test_reference_threshold(self):
@@ -106,36 +179,19 @@ class TestGainThreshold:
         assert 5e-5 <= g_star <= 2e-4
 
     def test_stops_once_the_bracket_stops_moving(self, monkeypatch):
-        import oamqkd.link_budget as lb
-
-        def rate(q):
-            return rate_vs_gain([q], DEFAULTS)[0].breakdown.rate
-
-        # reference: the decade scan, then a fixed 100 bisection steps
-        hi, lo, evals = 1.0, 0.1, 2
-        while rate(lo) > 0.0:
-            hi, lo, evals = lo, lo / 10.0, evals + 1
-        moving_steps = 0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            moving_steps += mid not in (lo, hi)
-            if rate(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        reference = 0.5 * (lo + hi)
-
-        calls = []
-        counted = lb.secret_key_rate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return counted(*args, **kwargs)
-
-        monkeypatch.setattr(lb, "secret_key_rate", counting)
+        reference, moving_steps, rate_calls = reference_threshold(DEFAULTS)
+        calls = count_rate_calls(monkeypatch)
         assert gain_threshold(DEFAULTS) == reference
-        assert len(calls) == evals + moving_steps
+        assert len(calls) == rate_calls
         assert 100 - moving_steps == 47
+
+    def test_every_grid_threshold_equals_the_reference_bisection(self, monkeypatch):
+        references = [reference_threshold(p) for p in GRID]
+        calls = count_rate_calls(monkeypatch)
+        for p, (reference, _, rate_calls) in zip(GRID, references):
+            calls.clear()
+            assert gain_threshold(p) == reference, p
+            assert len(calls) == rate_calls, p
 
     def test_rate_vanishes_at_threshold(self):
         g_star = gain_threshold(DEFAULTS)
@@ -156,6 +212,11 @@ class TestGainThreshold:
         with pytest.raises(DomainError):
             loss_margin_db(0.0, 1e-4)
 
+    @pytest.mark.parametrize("gain", [1.0 + 1e-12, 2.0, math.nan])
+    def test_gain_above_one_or_nan_has_no_margin(self, gain):
+        with pytest.raises(DomainError):
+            loss_margin_db(gain, 1e-4)
+
 
 class TestParams:
     def test_validation(self):
@@ -173,6 +234,18 @@ class TestParams:
     def test_non_finite_fields_rejected(self, name, value):
         with pytest.raises(ValidationError):
             LinkBudgetParams(**{name: value})
+
+    def test_ec_model_is_built_once(self):
+        p = LinkBudgetParams(f=1.2)
+        assert p.ec_model is p.ec_model
+        assert p.ec_model == ECModel(f=p.f)
+        assert dataclasses.replace(p, f=1.3).ec_model == ECModel(f=1.3)
+
+    def test_reading_ec_model_keeps_equality_and_hash(self):
+        a, b = LinkBudgetParams(f=1.2), LinkBudgetParams(f=1.2)
+        assert a.ec_model is not b.ec_model  # each holds its own cached model
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "ec_model" not in repr(a)
 
     def test_explicit_y0_overrides_dark_rate(self):
         p = LinkBudgetParams(dark_rate=100.0, gate=50e-9, y0=1e-7)
