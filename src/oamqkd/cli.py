@@ -28,7 +28,7 @@ from .errors import (
     ThresholdUndefinedError,
     ValidationError,
 )
-from .fileio import FULL_FLOAT_FORMAT, ConfigMap, write_csv, write_key_values
+from .fileio import FULL_FLOAT_FORMAT, read_key_values, write_csv, write_key_values
 from .keyrate import (
     DecoyObservables,
     ECModel,
@@ -103,22 +103,28 @@ def _value_type(key: str) -> type:
 
 def _resolve(args) -> dict:
     """Every config key's value: the flag if given, else the config file, else the default."""
-    cfg = ConfigMap.empty()
+    path, cfg = None, {}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        cfg = ConfigMap.load(path)
-    unknown = sorted(set(cfg.values) - DEFAULTS.keys())
+        cfg = read_key_values(path)
+    unknown = sorted(cfg.keys() - DEFAULTS.keys())
     if unknown:
-        raise UsageError(f"{cfg.source}: unknown config key(s): {', '.join(unknown)}")
-    getters = {int: cfg.get_int, float: cfg.get_float, str: cfg.get_str}
+        raise UsageError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    parsers = {int: lambda s: int(s, 0), float: float, str: str}  # ints in any base prefix
     flags = vars(args)
     values = {}
     for key, default in DEFAULTS.items():
         value = flags.get(key)
+        if value is None and key in cfg:
+            raw = cfg[key]
+            try:
+                value = parsers[_value_type(key)](raw)
+            except ValueError:
+                raise ValidationError(f"{path}: key {key!r} has invalid value {raw!r}") from None
         if value is None:
-            value = getters[_value_type(key)](key, default)
+            value = default
         if key in PLAIN_DEFAULTS and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value}")
         values[key] = value
@@ -243,8 +249,8 @@ def _collect_observables(args, values: dict) -> list[tuple[str, DecoyObservables
         path = Path(args.observables)
         if not path.is_file():
             raise UsageError(f"observables file not found: {path}")
-        cfg_obs = ConfigMap.load(path)
-        return [(str(path), _observables_from_map(cfg_obs.values, str(path), mu_default, nu_default))]
+        obs = _observables_from_map(read_key_values(path), str(path), mu_default, nu_default)
+        return [(str(path), obs)]
     inline = {k: getattr(args, k) for k in OBSERVABLE_FIELDS[2:]}
     missing = [k for k, v in inline.items() if v is None]
     if missing:

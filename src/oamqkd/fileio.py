@@ -78,36 +78,3 @@ def read_key_values(path) -> dict[str, str]:
             result[key.strip()] = value.strip()
     return result
 
-
-class ConfigMap:
-    """Typed access to a flat key=value configuration with section prefixes."""
-
-    def __init__(self, values: Mapping[str, str], source: str = "<config>") -> None:
-        self.values = dict(values)
-        self.source = source
-
-    @classmethod
-    def load(cls, path) -> "ConfigMap":
-        return cls(read_key_values(path), source=str(path))
-
-    @classmethod
-    def empty(cls) -> "ConfigMap":
-        return cls({})
-
-    def _convert(self, key: str, caster, default):
-        if key not in self.values:
-            return default
-        raw = self.values[key]
-        try:
-            return caster(raw)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{self.source}: key {key!r} has invalid value {raw!r}") from None
-
-    def get_str(self, key: str, default: str | None = None):
-        return self.values.get(key, default)
-
-    def get_float(self, key: str, default: float | None = None):
-        return self._convert(key, float, default)
-
-    def get_int(self, key: str, default: int | None = None):
-        return self._convert(key, lambda s: int(s, 0), default)

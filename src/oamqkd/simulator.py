@@ -15,14 +15,16 @@ Detection outcomes follow the exact single-qubit Born probabilities from
 misalignment angle and measured in the receiver's basis, so polarization
 encoding picks up the ``sin^2``-type misalignment errors while the hybrid
 encoding does not.  The pulse-level path (:func:`generate_pulses`,
-:func:`transmit`, :func:`tally_blocks`) is the reference for the block law.
+:func:`transmit`, :func:`tally_blocks`) is the reference for the block law; it
+counts its pulses into the same 36 categories and the same
+:class:`BlockSeries`.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -130,12 +132,6 @@ class PulseBatch:
         return self.intensity_class.shape[0]
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def block_generator(master_seed: int, stream: str, block_index: int) -> np.random.Generator:
     """Independent counter-based generator for one block of one named stream.
 
@@ -164,7 +160,7 @@ def generate_pulses(n: int, src: SourceParams, rng) -> PulseBatch:
     """
     if n <= 0:
         raise ValidationError(f"pulse count must be positive, got {n}")
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     cls = gen.choice(3, size=n, p=src.class_probabilities).astype(np.int8)
     bases_bits = gen.integers(0, 2, size=(2, n), dtype=np.int8)
     lam = np.asarray(src.intensities)[cls]
@@ -217,7 +213,7 @@ def transmit(pulses, ch: ChannelParams, block_transmission_multiplier: float = 1
     if block_transmission_multiplier <= 0.0:
         raise ValidationError("block transmission multiplier must be positive")
 
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     n = len(pulses)
     p_survive = min(1.0, ch.eta * block_transmission_multiplier)
 
@@ -253,7 +249,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class BlockTally:
-    """Per-class counts for one block of consecutive pulses."""
+    """Per-class counts of one block: row ``block_index`` of a :class:`BlockSeries`."""
 
     block_index: int
     block_size: int
@@ -271,26 +267,6 @@ class BlockTally:
     def qbers(self) -> np.ndarray:
         """errors/sifted per class; NaN where nothing was sifted."""
         return _ratio(self.errors, self.sifted)
-
-    def gain(self, cls: IntensityClass) -> float:
-        return float(self.gains[int(cls)])
-
-    def qber(self, cls: IntensityClass) -> float:
-        return float(self.qbers[int(cls)])
-
-    @classmethod
-    def from_counts(cls, block_index: int, counts: np.ndarray) -> "BlockTally":
-        """Tally of one block's class x photon-number x outcome counts (3x3x4)."""
-        sent, detected, sifted, errors = _class_tallies(counts)
-        return cls(block_index, int(sent.sum()), sent, detected, sifted, errors)
-
-
-def _class_tallies(counts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """sent, detected, sifted and errors per class of ``(..., 3, 3, 4)`` counts."""
-    per_outcome = counts.sum(axis=-2)
-    sent = per_outcome.sum(axis=-1)
-    return (sent, sent - per_outcome[..., 0], per_outcome[..., 2] + per_outcome[..., 3],
-            per_outcome[..., 3])
 
 
 class BlockSeries(Sequence):
@@ -317,13 +293,10 @@ class BlockSeries(Sequence):
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "BlockSeries":
         """Series of ``(n_blocks, 3, 3, 4)`` class x photon-number x outcome counts."""
-        return cls(*_class_tallies(counts))
-
-    @classmethod
-    def from_tallies(cls, tallies: Sequence[BlockTally]) -> "BlockSeries":
-        """Series of per-block tallies, in their order."""
-        return cls(*(np.array([getattr(t, name) for t in tallies]).reshape(-1, 3)
-                     for name in ("sent", "detected", "sifted", "errors")))
+        per_outcome = counts.sum(axis=2)
+        sent = per_outcome.sum(axis=2)
+        return cls(sent, sent - per_outcome[..., 0], per_outcome[..., 2] + per_outcome[..., 3],
+                   per_outcome[..., 3])
 
     def __len__(self) -> int:
         return self.sent.shape[0]
@@ -334,38 +307,32 @@ class BlockSeries(Sequence):
                           self.sifted[b], self.errors[b])
 
 
-def _tally_slice(pulses: PulseBatch, lo: int, hi: int, block_index: int) -> BlockTally:
-    cls = pulses.intensity_class[lo:hi]
-    det = pulses.detected[lo:hi]
-    matched = det & (pulses.basis[lo:hi] == pulses.detector_basis[lo:hi])
-    wrong = matched & (pulses.bit[lo:hi] != pulses.detected_bit[lo:hi])
-    return BlockTally(
-        block_index=block_index,
-        block_size=hi - lo,
-        sent=np.bincount(cls, minlength=3),
-        detected=np.bincount(cls[det], minlength=3),
-        sifted=np.bincount(cls[matched], minlength=3),
-        errors=np.bincount(cls[wrong], minlength=3),
-    )
+def _pulse_counts(pulses: PulseBatch, block_size: int) -> np.ndarray:
+    """Counts of each whole block of a transmitted batch, ``(n_blocks, 3, 3, 4)``.
 
-
-def tally_blocks(pulses: PulseBatch, block_size: int = DEFAULT_BLOCK_SIZE) -> list[BlockTally]:
-    """Split the pulse sequence into fixed-size blocks and count per class.
-
-    Blocks are consecutive and non-overlapping; a trailing partial block is
-    dropped.
+    The axes are those of :func:`_block_law`.  Blocks are consecutive and
+    non-overlapping; a trailing partial block is dropped.
     """
     if block_size <= 0:
         raise ValidationError(f"block size must be positive, got {block_size}")
     n_blocks = len(pulses) // block_size
-    return [
-        _tally_slice(pulses, b * block_size, (b + 1) * block_size, b) for b in range(n_blocks)
-    ]
+    n = n_blocks * block_size
+    photons = np.minimum(pulses.photon_count[:n], 2)
+    outcome = np.select(
+        [~pulses.detected[:n], pulses.basis[:n] != pulses.detector_basis[:n],
+         pulses.bit[:n] == pulses.detected_bit[:n]],
+        [0, 1, 2], 3)
+    category = (pulses.intensity_class[:n] * 3 + photons) * 4 + outcome
+    category += np.arange(n) // block_size * 36
+    return np.bincount(category, minlength=36 * n_blocks).reshape(n_blocks, 3, 3, 4)
 
 
-def estimate_observables(
-    blocks: BlockSeries | Sequence[BlockTally], src: SourceParams
-) -> DecoyObservables:
+def tally_blocks(pulses: PulseBatch, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockSeries:
+    """Per-class tallies of each whole block of consecutive pulses; a partial block is dropped."""
+    return BlockSeries.from_counts(_pulse_counts(pulses, block_size))
+
+
+def estimate_observables(blocks: BlockSeries, src: SourceParams) -> DecoyObservables:
     """Pool block tallies into session-level decoy observables.
 
     Gains are detected/sent per class, QBERs are errors/sifted per class and
@@ -373,8 +340,6 @@ def estimate_observables(
     """
     if not len(blocks):
         raise EstimationError("no blocks to estimate from")
-    if not isinstance(blocks, BlockSeries):
-        blocks = BlockSeries.from_tallies(blocks)
     sent, detected, sifted, errors = (
         a.sum(axis=0) for a in (blocks.sent, blocks.detected, blocks.sifted, blocks.errors)
     )
@@ -416,8 +381,6 @@ class SessionTally:
     blocks: BlockSeries
     observables: DecoyObservables
     single_photon: SinglePhotonStats
-    src: SourceParams = field(repr=False, default=SourceParams())
-    ch: ChannelParams = field(repr=False, default=ChannelParams())
 
 
 def _block_law(src: SourceParams, ch: ChannelParams, multipliers) -> np.ndarray:
@@ -473,18 +436,20 @@ def _stationary_law(src: SourceParams, ch: ChannelParams) -> np.ndarray:
     return law
 
 
-def _draw_blocks(
+def simulate_blocks(
     src: SourceParams,
     ch: ChannelParams,
     block_size: int,
     master_seed: int,
     stream: str,
-    block_indices: range,
+    block_indices: Sequence[int],
 ) -> np.ndarray:
     """Counts of the given blocks, shaped ``(len(block_indices), 3, 3, 4)``.
 
     Each block draws on its own stream, in this order: its scintillation
     multiplier (only when sigma > 0), then its counts from :func:`_block_law`.
+    A block's counts are those :func:`run_session` draws for it, whatever
+    the other indices and their order.
     """
     sigma = ch.block_scintillation_sigma
     counts = np.empty((len(block_indices), 36), dtype=np.int64)
@@ -501,19 +466,6 @@ def _draw_blocks(
         for row, gen, law in zip(counts[lo:], gens, laws):
             row[:] = gen.multinomial(block_size, law)
     return counts.reshape(-1, 3, 3, 4)
-
-
-def simulate_block(
-    src: SourceParams,
-    ch: ChannelParams,
-    block_size: int,
-    master_seed: int,
-    stream: str,
-    block_index: int,
-) -> np.ndarray:
-    """Draw one block's 3x3x4 counts, as :func:`run_session` draws that block."""
-    return _draw_blocks(src, ch, block_size, master_seed, stream,
-                        range(block_index, block_index + 1))[0]
 
 
 def run_session(
@@ -534,8 +486,8 @@ def run_session(
         raise ValidationError(
             f"need 0 < block_size <= n_pulses, got block_size={block_size}, n_pulses={n_pulses}"
         )
-    counts = _draw_blocks(src, ch, block_size, master_seed, stream,
-                          range(n_pulses // block_size))
+    counts = simulate_blocks(src, ch, block_size, master_seed, stream,
+                             range(n_pulses // block_size))
     blocks = BlockSeries.from_counts(counts)
 
     one = counts[:, int(IntensityClass.SIGNAL), 1].sum(axis=0)
@@ -547,6 +499,4 @@ def run_session(
         sifted=sp_sifted,
     )
     observables = estimate_observables(blocks, src)
-    return SessionTally(
-        blocks=blocks, observables=observables, single_photon=single_photon, src=src, ch=ch
-    )
+    return SessionTally(blocks=blocks, observables=observables, single_photon=single_photon)

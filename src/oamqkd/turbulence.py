@@ -15,6 +15,7 @@ derived from them are in SI units (meters).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,8 +150,7 @@ def estimate_turbulence(samples: Sequence[CentroidSample], geom: LinkGeometry) -
     sigma = wander_sigma(samples)
     if sigma <= 0.0:
         raise DegenerateInputError("centroids do not wander; turbulence is unresolvable")
-    r0 = fried_parameter(sigma, geom)
-    return TurbulenceEstimate(sigma_m=sigma, r0=r0, cn2=cn2_from_fried(r0, geom))
+    return estimate_from_sigma(sigma, geom)
 
 
 def estimate_from_sigma(sigma_m: float, geom: LinkGeometry) -> TurbulenceEstimate:
@@ -228,20 +228,27 @@ def read_frame(path) -> IntensityFrame:
     """Read the plain-text frame format.
 
     Line 1 is ``rows cols pitch_mm``; each of the following ``rows`` lines
-    holds ``cols`` space-separated non-negative intensities.
+    holds ``cols`` space-separated non-negative intensities.  Error messages
+    leave naming the file to the caller.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise ValidationError(f"{path}: header must be 'rows cols pitch_mm'")
+            raise ValidationError("header must be 'rows cols pitch_mm'")
         try:
             rows, cols, pitch = int(header[0]), int(header[1]), float(header[2])
         except ValueError as exc:
-            raise ValidationError(f"{path}: malformed header: {exc}") from None
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
+            raise ValidationError(f"malformed header: {exc}") from None
+        if rows <= 0 or cols <= 0:
+            raise ValidationError(f"header dimensions must be positive, got {rows}x{cols}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is refused below
+            values = np.loadtxt(fh, dtype=float, ndmin=2)
+    if values.size == 0:
+        raise ValidationError("no intensity values after the header")
     if values.shape != (rows, cols):
         raise ValidationError(
-            f"{path}: expected a {rows}x{cols} grid, got {values.shape[0]}x{values.shape[1]}"
+            f"expected a {rows}x{cols} grid, got {values.shape[0]}x{values.shape[1]}"
         )
     return IntensityFrame(values=values, pitch_mm=pitch)
 

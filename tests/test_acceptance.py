@@ -16,7 +16,6 @@ from scipy import stats
 from helpers import random_unit_pairs
 
 from oamqkd import (
-    BlockTally,
     ChannelParams,
     Encoding,
     HybridState,
@@ -36,7 +35,7 @@ from oamqkd import (
 from oamqkd.cli import main
 from oamqkd.fileio import read_key_values
 from oamqkd.keyrate import e1_upper
-from oamqkd.simulator import simulate_block
+from oamqkd.simulator import BlockSeries, simulate_blocks
 
 TABLE_CSV = """mu,nu,q_mu,e_mu,q_nu,e_nu,y0
 0.623,0.165,1.43e-2,0.0381,4.77e-3,0.0763,3.77e-4
@@ -144,11 +143,9 @@ def _signal_qber(theta_deg: float, encoding: Encoding, seed: int) -> tuple[float
     src = SourceParams(p_mu=1.0, p_nu=0.0, p_vac=0.0)
     ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, e_ch=0.0, y0=0.0,
                        theta=math.radians(theta_deg), encoding=encoding)
-    sifted = errors = 0
-    for b in range(20):
-        tally = BlockTally.from_counts(b, simulate_block(src, ch, 50_000, seed, "simulate", b))
-        sifted += int(tally.sifted[int(IntensityClass.SIGNAL)])
-        errors += int(tally.errors[int(IntensityClass.SIGNAL)])
+    blocks = BlockSeries.from_counts(simulate_blocks(src, ch, 50_000, seed, "simulate", range(20)))
+    sifted = int(blocks.sifted[:, IntensityClass.SIGNAL].sum())
+    errors = int(blocks.errors[:, IntensityClass.SIGNAL].sum())
     return errors / sifted, sifted
 
 
@@ -203,11 +200,8 @@ def _block_gains(sigma: float, n_blocks: int, seed: int) -> np.ndarray:
     src = SourceParams(p_mu=1.0, p_nu=0.0, p_vac=0.0)
     ch = ChannelParams(eta_ch=0.10, eta_c=0.35, eta_d=0.60,
                        block_scintillation_sigma=sigma)
-    gains = np.empty(n_blocks)
-    for b in range(n_blocks):
-        tally = BlockTally.from_counts(b, simulate_block(src, ch, 2880, seed, "simulate", b))
-        gains[b] = tally.gain(IntensityClass.SIGNAL)
-    return gains
+    counts = simulate_blocks(src, ch, 2880, seed, "simulate", range(n_blocks))
+    return BlockSeries.from_counts(counts).gains[:, IntensityClass.SIGNAL]
 
 
 def test_criterion_8_block_statistics():

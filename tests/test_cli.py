@@ -246,7 +246,19 @@ class TestTurbulence:
         (frames_dir / "b.txt").write_text("not a frame\n")
         assert main(["turbulence", "--frames", str(frames_dir),
                      "--out", str(tmp_path / "o")]) == 1
-        assert "a.txt" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("a.txt") == 1
+
+    @pytest.mark.parametrize("header", ["2 2 0.05", "0 0 0.05"])
+    def test_header_only_frame_names_file_once(self, tmp_path, capsys, header):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        (frames_dir / "a.txt").write_text(header + "\n")
+        (frames_dir / "b.txt").write_text("2 2 0.05\n1 2\n3 4\n")
+        assert main(["turbulence", "--frames", str(frames_dir),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("a.txt") == 1
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("radius", ["-1", "0"])
     def test_non_positive_beam_radius_exits_1(self, tmp_path, radius):
@@ -401,6 +413,27 @@ class TestConfigKeys:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_values_parse_by_the_type_of_their_default(self, tmp_path):
+        """An int in any base prefix, a float and a str; absent keys keep their defaults."""
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {"run.block_size": "0x0B40", "run.pulses": 5760,
+                           "channel.theta": 0.3, "channel.encoding": "polarization"})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        obs = read_key_values(out / "observables.txt")
+        assert (obs["block_size"], obs["n_blocks"]) == ("2880", "2")
+        assert (obs["encoding"], float(obs["theta"])) == ("polarization", 0.3)
+        assert float(obs["mu"]) == DEFAULTS["source.mu"]
+
+    @pytest.mark.parametrize("key, raw", [("run.block_size", "2.5"), ("source.mu", "banana"),
+                                          ("run.pulses", "")])
+    def test_invalid_value_names_file_and_key(self, tmp_path, capsys, key, raw):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {key: raw})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: key {key!r} has invalid value {raw!r}" in err
 
     def test_unknown_encoding_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ import pytest
 
 from oamqkd import ValidationError
 from oamqkd.fileio import (
-    ConfigMap,
     atomic_write_text,
     format_value,
     read_key_values,
@@ -63,12 +62,3 @@ def test_csv_header_and_rows(tmp_path):
     write_csv(path, ("a", "b"), [(1, 0.25), (2, True)])
     assert path.read_text() == "a,b\n1,0.25\n2,true\n"
 
-
-def test_config_typed_getters():
-    cfg = ConfigMap({"x.f": "1.5", "x.i": "42", "x.s": "hi"})
-    assert cfg.get_float("x.f") == 1.5
-    assert cfg.get_int("x.i") == 42
-    assert cfg.get_str("x.s") == "hi"
-    assert cfg.get_float("missing", 7.0) == 7.0
-    with pytest.raises(ValidationError):
-        cfg.get_float("x.s")

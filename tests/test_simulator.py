@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 from oamqkd import (
-    BlockTally,
     ChannelParams,
     Encoding,
     EstimationError,
@@ -29,9 +28,10 @@ from oamqkd.keyrate import e1_upper
 from oamqkd.simulator import (
     BlockSeries,
     _block_law,
+    _pulse_counts,
     block_generator,
     detection_bit_probabilities,
-    simulate_block,
+    simulate_blocks,
 )
 
 LOSSLESS = dict(eta_ch=1.0, eta_c=1.0, eta_d=1.0)
@@ -111,7 +111,7 @@ class TestTransmit:
         transmit(batch, ch, 1.0, np.random.default_rng(8))
         (tally,) = tally_blocks(batch, len(batch))
         sifted = int(tally.sifted[IntensityClass.SIGNAL])
-        assert abs(tally.qber(IntensityClass.SIGNAL) - 0.25) < _binomial_5sigma(0.25, sifted)
+        assert abs(tally.qbers[IntensityClass.SIGNAL] - 0.25) < _binomial_5sigma(0.25, sifted)
 
     def test_gain_matches_loss_chain_model(self):
         src = all_signal_source(mu=0.623)
@@ -189,7 +189,7 @@ class TestSift:
             detected_bit=np.zeros(0, np.int8),
             detector_basis=np.zeros(0, np.int8),
         )
-        assert tally_blocks(empty) == []
+        assert len(tally_blocks(empty)) == 0
 
 
 class TestBlockTallies:
@@ -200,8 +200,8 @@ class TestBlockTallies:
         blocks = tally_blocks(batch, 2880)
         assert len(blocks) == 10
         for tally in blocks:
-            assert tally.gain(IntensityClass.SIGNAL) == 1.0
-            assert tally.qber(IntensityClass.SIGNAL) == 0.0
+            assert tally.gains[IntensityClass.SIGNAL] == 1.0
+            assert tally.qbers[IntensityClass.SIGNAL] == 0.0
 
     def test_partial_trailing_block_dropped(self):
         batch = generate_pulses(7000, SourceParams(), 20)
@@ -219,14 +219,30 @@ class TestBlockTallies:
             assert np.all(tally.detected <= tally.sent)
         assert int(sum(t.sent.sum() for t in tally_blocks(batch, 2880))) == 28_800
 
+    @pytest.mark.parametrize("n, block_size", [(5760, 1), (5760, 2880), (5760, 5760),
+                                               (7000, 2880)])
+    def test_rows_are_bincounts_of_their_slice(self, n, block_size):
+        batch = generate_pulses(n, SourceParams(), 52)
+        transmit(batch, ChannelParams(eta_ch=0.5, e_ch=0.05, y0=0.05), 1.0,
+                 np.random.default_rng(53))
+        detected = batch.detected
+        sifted = detected & (batch.basis == batch.detector_basis)
+        errors = sifted & (batch.bit != batch.detected_bit)
+        blocks = tally_blocks(batch, block_size)
+        assert len(blocks) == n // block_size
+        for b, tally in enumerate(blocks):
+            assert tally.block_index == b and tally.block_size == block_size
+            lo, hi = b * block_size, (b + 1) * block_size
+            cls = batch.intensity_class[lo:hi]
+            assert np.array_equal(tally.sent, np.bincount(cls, minlength=3))
+            for name, mask in (("detected", detected), ("sifted", sifted), ("errors", errors)):
+                want = np.bincount(cls[mask[lo:hi]], minlength=3)
+                assert np.array_equal(getattr(tally, name), want), name
+
     @staticmethod
     def _signal_block_gains(ch: ChannelParams, n_blocks: int, seed: int) -> np.ndarray:
-        src = all_signal_source()
-        gains = []
-        for b in range(n_blocks):
-            tally = BlockTally.from_counts(b, simulate_block(src, ch, 2880, seed, "simulate", b))
-            gains.append(tally.gain(IntensityClass.SIGNAL))
-        return np.array(gains)
+        counts = simulate_blocks(all_signal_source(), ch, 2880, seed, "simulate", range(n_blocks))
+        return BlockSeries.from_counts(counts).gains[:, IntensityClass.SIGNAL]
 
     def test_stationary_channel_block_gains_chi2_consistent(self):
         ch = ChannelParams(eta_ch=0.10, eta_c=0.35, eta_d=0.60)
@@ -252,15 +268,6 @@ class TestBlockTallies:
             tally_blocks(batch, 0)
 
 
-def _pulse_categories(batch: PulseBatch) -> np.ndarray:
-    """Counts of a transmitted batch over the block law's 36 categories."""
-    photons = np.minimum(batch.photon_count, 2)
-    outcome = np.select(
-        [~batch.detected, batch.basis != batch.detector_basis, batch.bit == batch.detected_bit],
-        [0, 1, 2], 3)
-    return np.bincount((batch.intensity_class * 3 + photons) * 4 + outcome, minlength=36)
-
-
 class TestBlockLaw:
     @pytest.mark.parametrize("encoding", [Encoding.HYBRID, Encoding.POLARIZATION])
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
@@ -275,7 +282,7 @@ class TestBlockLaw:
         for _ in range(10):
             multiplier = float(np.exp(sigma * rng.standard_normal() - 0.5 * sigma * sigma))
             batch = transmit(generate_pulses(100_000, src, rng), ch, multiplier, rng)
-            observed += _pulse_categories(batch)
+            observed += _pulse_counts(batch, len(batch)).ravel()
             expected += 100_000 * _block_law(src, ch, multiplier).ravel()
         possible = expected > 0.0
         assert np.all(observed[~possible] == 0)
@@ -382,14 +389,11 @@ class TestSessionContracts:
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
         session = run_session(src, ch, 40_000, block_size=4_000, master_seed=35)
-        out_of_order = {}
-        for b in reversed(range(10)):
-            counts = simulate_block(src, ch, 4_000, 35, "simulate", b)
-            out_of_order[b] = BlockTally.from_counts(b, counts)
-        for tally in session.blocks:
-            other = out_of_order[tally.block_index]
-            assert np.array_equal(tally.detected, other.detected)
-            assert np.array_equal(tally.errors, other.errors)
+        backwards = list(reversed(range(10)))
+        counts = simulate_blocks(src, ch, 4_000, 35, "simulate", backwards)
+        out_of_order = BlockSeries.from_counts(counts[::-1])
+        assert np.array_equal(session.blocks.detected, out_of_order.detected)
+        assert np.array_equal(session.blocks.errors, out_of_order.errors)
 
     def test_block_schedule_invariance_with_scintillation(self):
         """Each block's multiplier comes from its own stream, not from the schedule."""
@@ -398,9 +402,21 @@ class TestSessionContracts:
                            block_scintillation_sigma=0.3)
         session = run_session(src, ch, 40_000, block_size=4_000, master_seed=39)
         for b in (7, 2, 9, 0, 5, 1, 8, 3, 6, 4):
-            tally = BlockTally.from_counts(b, simulate_block(src, ch, 4_000, 39, "simulate", b))
+            (tally,) = BlockSeries.from_counts(
+                simulate_blocks(src, ch, 4_000, 39, "simulate", [b]))
             for name in ("sent", "detected", "sifted", "errors"):
                 assert np.array_equal(getattr(session.blocks[b], name), getattr(tally, name))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_shuffled_indices_give_the_session_rows(self, sigma):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
+                           block_scintillation_sigma=sigma)
+        session = run_session(src, ch, 48_000, block_size=4_000, master_seed=42)
+        order = np.random.default_rng(43).permutation(12).tolist()
+        shuffled = BlockSeries.from_counts(simulate_blocks(src, ch, 4_000, 42, "simulate", order))
+        for name in ("sent", "detected", "sifted", "errors"):
+            assert np.array_equal(getattr(shuffled, name), getattr(session.blocks, name)[order])
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_chunked_draws_equal_one_chunk(self, monkeypatch, sigma):
@@ -415,19 +431,18 @@ class TestSessionContracts:
     def test_block_series_rows_are_the_block_tallies(self):
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
-        counts = np.stack([simulate_block(src, ch, 3_000, 40, "simulate", b) for b in range(4)])
+        counts = simulate_blocks(src, ch, 3_000, 40, "simulate", range(4))
         series = BlockSeries.from_counts(counts)
         assert len(series) == 4 and series.sent.shape == (4, 3)
-        tallies = [BlockTally.from_counts(b, c) for b, c in enumerate(counts)]
-        for got, want in zip(series, tallies, strict=True):
-            assert got.block_index == want.block_index and got.block_size == want.block_size
+        assert np.array_equal(series.sent, counts.sum(axis=(2, 3)))
+        for b, got in enumerate(series):
+            assert got.block_index == b and got.block_size == 3_000
             for name in ("sent", "detected", "sifted", "errors", "gains", "qbers"):
-                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
-        assert np.array_equal(series.gains, [t.gains for t in tallies], equal_nan=True)
+                assert np.array_equal(getattr(got, name), getattr(series, name)[b],
+                                      equal_nan=True)
         assert series[-1].block_index == 3
         with pytest.raises(IndexError):
             series[4]
-        assert estimate_observables(series, src) == estimate_observables(tallies, src)
 
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
     @pytest.mark.parametrize("block_index", [0, 346, 2**32])

@@ -1,6 +1,7 @@
 """Centroid extraction, wander statistics and the coherence-length chain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,16 @@ class TestFrameFiles:
         path.write_text("16 twelve 0.1\n")
         with pytest.raises(ValidationError):
             read_frame(path)
+
+    @pytest.mark.parametrize("text", ["0 3 0.1\n", "2 -1 0.1\n1 2\n", "2 3 0.1\n",
+                                      "2 3 0.1\n\n# no values\n"])
+    def test_empty_grid_refused_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                read_frame(path)
 
     def test_wrong_grid_shape(self, tmp_path):
         path = tmp_path / "short.txt"
