@@ -101,6 +101,11 @@ def _value_type(key: str) -> type:
     return str if isinstance(default, str) else int if isinstance(default, int) else float
 
 
+#: How a flag or a config value is read, by :func:`_value_type` of its key.
+_PARSERS = {int: lambda text: int(text, 0), float: float, str: str}  # ints in any base prefix
+_PARSERS[int].__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _resolve(args) -> dict:
     """Every config key's value: the flag if given, else the config file, else the default."""
     path, cfg = None, {}
@@ -112,7 +117,6 @@ def _resolve(args) -> dict:
     unknown = sorted(cfg.keys() - DEFAULTS.keys())
     if unknown:
         raise UsageError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    parsers = {int: lambda s: int(s, 0), float: float, str: str}  # ints in any base prefix
     flags = vars(args)
     values = {}
     for key, default in DEFAULTS.items():
@@ -120,7 +124,7 @@ def _resolve(args) -> dict:
         if value is None and key in cfg:
             raw = cfg[key]
             try:
-                value = parsers[_value_type(key)](raw)
+                value = _PARSERS[_value_type(key)](raw)
             except ValueError:
                 raise ValidationError(f"{path}: key {key!r} has invalid value {raw!r}") from None
         if value is None:
@@ -154,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, key in flags.items():
             default = DEFAULTS[key]
             shown = "derived" if default is None else getattr(default, "value", default)
-            p.add_argument(flag, dest=key, type=_value_type(key), help=f"default: {shown}")
+            p.add_argument(flag, dest=key, type=_PARSERS[_value_type(key)],
+                           help=f"default: {shown}")
 
     p = parsers["keyrate"]
     src_group = p.add_mutually_exclusive_group()

@@ -39,7 +39,7 @@ class Encoding(str, Enum):
 
 
 def _check_norm(*amps: complex) -> None:
-    norm_sq = sum(abs(a) ** 2 for a in amps)
+    norm_sq = float(sum(abs(a) ** 2 for a in amps))
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValidationError(f"state is not normalized: |amps|^2 = {norm_sq!r}")
 
@@ -93,9 +93,7 @@ class ProductState:
         if amps.shape != (4,):
             raise ValidationError(f"product state needs 4 amplitudes, got shape {amps.shape}")
         object.__setattr__(self, "amps", amps)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(f"state is not normalized: |amps|^2 = {norm_sq!r}")
+        _check_norm(*amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,21 +212,15 @@ def measure_probabilities(state, b: Basis) -> tuple[float, float]:
     against hybrid bases as long as they carry no weight outside the hybrid
     subspace.
     """
-    if isinstance(state, PolarizationState):
-        if b.encoding is not Encoding.POLARIZATION:
-            raise EncodingMismatchError("polarization state measured in a non-polarization basis")
-        vec = state.amplitudes
-        kets = b.kets
-    elif isinstance(state, HybridState):
-        if b.encoding is not Encoding.HYBRID:
-            raise EncodingMismatchError("hybrid state measured in a non-hybrid basis")
-        vec = state.amplitudes
-        kets = b.kets
+    if isinstance(state, (PolarizationState, HybridState)):
+        name = "polarization" if isinstance(state, PolarizationState) else "hybrid"
+        if b.encoding.value != name:
+            raise EncodingMismatchError(f"{name} state measured in a non-{name} basis")
+        vec, kets = state.amplitudes, b.kets
     elif isinstance(state, ProductState):
         if b.encoding is not Encoding.HYBRID:
             raise EncodingMismatchError("product states can only be measured in hybrid bases")
-        vec = state.amps
-        kets = np.zeros((2, 4), dtype=np.complex128)
+        vec, kets = state.amps, np.zeros((2, 4), dtype=np.complex128)
         kets[:, 0] = b.kets[:, 1]  # |R>|l> component
         kets[:, 3] = b.kets[:, 0]  # |L>|r> component
     else:

@@ -6,9 +6,9 @@ categories (intensity class x photon number x outcome).  A session is one
 ``(n_blocks, 3, 3, 4)`` counts array: the laws of all its blocks come from
 one evaluation of that law over the blocks' multipliers, and
 :class:`BlockSeries` holds the per-block tallies as ``(n_blocks, 3)`` arrays.
-Every block draws its randomness from an independent Philox (counter-based)
-stream derived from the master seed, the stream name, and the block index, so
-results are reproducible and do not depend on how the blocks are scheduled.
+Each ``(master_seed, stream)`` keys one Philox (counter-based) generator and
+each block draws from its own counter range of that key, so results are
+reproducible and do not depend on how the blocks are scheduled.
 
 Detection outcomes follow the exact single-qubit Born probabilities from
 :mod:`oamqkd.optics`: the transmitted state is frame-rotated by the channel
@@ -38,9 +38,6 @@ from .optics import Encoding, basis, embed_hybrid, measure_probabilities, rotate
 
 _PROB_SUM_TOL = 1e-9
 _BASIS_LABELS = ("Z", "X")
-_MASK32 = 0xFFFFFFFF
-#: Blocks whose generators are alive at once in a session; bounds its memory.
-_CHUNK_BLOCKS = 4096
 
 #: Pulses per block, unless a caller says otherwise.
 DEFAULT_BLOCK_SIZE = 2880
@@ -132,24 +129,30 @@ class PulseBatch:
         return self.intensity_class.shape[0]
 
 
-def block_generator(master_seed: int, stream: str, block_index: int) -> np.random.Generator:
-    """Independent counter-based generator for one block of one named stream.
+def _block_streams(master_seed: int, stream: str, block_indices: Sequence[int]):
+    """Yield :func:`block_generator` of each block in turn: one generator, moved each time."""
+    if master_seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {master_seed}")
+    bits = np.random.Philox(np.random.SeedSequence([master_seed, zlib.crc32(stream.encode())]))
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter 0, buffer empty
+    counter = state["state"]["counter"] = [0, 0, 0, 0]
+    for b in map(int, block_indices):
+        if not 0 <= b < 2**128:
+            raise ValidationError(f"block index must lie in [0, 2**128), got {b}")
+        counter[3], counter[2] = divmod(b, 2**64)
+        bits.state = state
+        yield gen
 
-    The entropy is ``[master_seed, crc32(stream), block_index]``, handed to
-    ``SeedSequence`` as the little-endian uint32 words numpy would split that
-    list into (at least one per integer), so the stream is the list's.
+
+def block_generator(master_seed: int, stream: str, block_index: int) -> np.random.Generator:
+    """The generator of one block of one named stream.
+
+    Its key comes from ``SeedSequence([master_seed, crc32(stream)])``; block
+    ``b`` starts at counter ``(0, 0, b mod 2**64, b >> 64)`` of that key, which
+    is ``Philox.jumped(b)``, so blocks own disjoint ranges of 2**128 counters.
     """
-    words = []
-    for value in (int(master_seed), zlib.crc32(stream.encode("utf-8")), int(block_index)):
-        if value < 0:
-            raise ValidationError(f"seed and block index must be non-negative, got {value}")
-        words.append(value & _MASK32)
-        value >>= 32
-        while value:
-            words.append(value & _MASK32)
-            value >>= 32
-    seed_seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(seed_seq))
+    return next(_block_streams(master_seed, stream, [block_index]))
 
 
 def generate_pulses(n: int, src: SourceParams, rng) -> PulseBatch:
@@ -446,25 +449,25 @@ def simulate_blocks(
 ) -> np.ndarray:
     """Counts of the given blocks, shaped ``(len(block_indices), 3, 3, 4)``.
 
-    Each block draws on its own stream, in this order: its scintillation
-    multiplier (only when sigma > 0), then its counts from :func:`_block_law`.
-    A block's counts are those :func:`run_session` draws for it, whatever
-    the other indices and their order.
+    Each block draws from :func:`block_generator`'s stream for it, in this
+    order: its scintillation multiplier (only when sigma > 0), then its counts
+    from :func:`_block_law`.  A block's counts are those :func:`run_session`
+    draws for it, whatever the other indices and their order.
     """
     sigma = ch.block_scintillation_sigma
+    if sigma > 0.0:
+        # mean-corrected log-normal: E[multiplier] = 1
+        normals = np.array([gen.standard_normal()
+                            for gen in _block_streams(master_seed, stream, block_indices)])
+        multipliers = np.exp(sigma * normals - 0.5 * sigma * sigma)
+        laws = _block_law(src, ch, multipliers).reshape(-1, 36)
+    else:
+        laws = repeat(_stationary_law(src, ch))
     counts = np.empty((len(block_indices), 36), dtype=np.int64)
-    for lo in range(0, len(block_indices), _CHUNK_BLOCKS):
-        gens = [block_generator(master_seed, stream, b)
-                for b in block_indices[lo:lo + _CHUNK_BLOCKS]]
+    for row, law, gen in zip(counts, laws, _block_streams(master_seed, stream, block_indices)):
         if sigma > 0.0:
-            # mean-corrected log-normal: E[multiplier] = 1
-            normals = np.array([gen.standard_normal() for gen in gens])
-            multipliers = np.exp(sigma * normals - 0.5 * sigma * sigma)
-            laws = _block_law(src, ch, multipliers).reshape(len(gens), 36)
-        else:
-            laws = repeat(_stationary_law(src, ch))
-        for row, gen, law in zip(counts[lo:], gens, laws):
-            row[:] = gen.multinomial(block_size, law)
+            gen.standard_normal()  # the multiplier again, to reach the block's counts
+        row[:] = gen.multinomial(block_size, law)
     return counts.reshape(-1, 3, 3, 4)
 
 
@@ -480,7 +483,7 @@ def run_session(
 
     Only whole blocks are simulated (``n_pulses // block_size`` of them).
     Identical arguments give bit-identical results regardless of block
-    scheduling, because each block owns an independent derived stream.
+    scheduling, because each block owns its own counter range of the stream.
     """
     if not 0 < block_size <= n_pulses:
         raise ValidationError(

@@ -435,6 +435,25 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert f"{cfg}: key {key!r} has invalid value {raw!r}" in err
 
+    def test_int_flags_parse_like_config_values(self, tmp_path):
+        """A base prefix works on the flag as in the file, with the same outputs."""
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {"run.block_size": "0x0B40", "run.pulses": 5760})
+        by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+        assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(by_file)]) == 0
+        assert main(["simulate", "--pulses", "5760", "--block-size", "0x0B40", "--seed", "3",
+                     "--out", str(by_flag)]) == 0
+        for name in ("blocks.csv", "observables.txt"):
+            assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
+
+    def test_leading_zero_int_exits_1_on_the_flag_as_in_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, {"run.pulses": "010"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        assert main(["simulate", "--pulses", "010", "--out", str(tmp_path / "b")]) == 1
+        assert "argument --pulses: invalid int value: '010'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_unknown_encoding_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg, {"channel.encoding": "foo", "run.pulses": 30_000})

@@ -418,16 +418,6 @@ class TestSessionContracts:
         for name in ("sent", "detected", "sifted", "errors"):
             assert np.array_equal(getattr(shuffled, name), getattr(session.blocks, name)[order])
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_chunked_draws_equal_one_chunk(self, monkeypatch, sigma):
-        src = SourceParams()
-        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, block_scintillation_sigma=sigma)
-        whole = run_session(src, ch, 40_000, block_size=4_000, master_seed=41)
-        monkeypatch.setattr("oamqkd.simulator._CHUNK_BLOCKS", 3)
-        chunked = run_session(src, ch, 40_000, block_size=4_000, master_seed=41)
-        for name in ("sent", "detected", "sifted", "errors"):
-            assert np.array_equal(getattr(chunked.blocks, name), getattr(whole.blocks, name))
-
     def test_block_series_rows_are_the_block_tallies(self):
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
@@ -445,18 +435,40 @@ class TestSessionContracts:
             series[4]
 
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
-    @pytest.mark.parametrize("block_index", [0, 346, 2**32])
+    @pytest.mark.parametrize("block_index", [0, 346, 2**32, 2**64 + 1])
     def test_block_generator_matches_list_entropy(self, master_seed, block_index):
+        """One key per stream from the list entropy; block b is that key jumped b times."""
         tag = zlib.crc32(b"simulate")
-        seed_seq = np.random.SeedSequence([master_seed, tag, block_index])
-        want = np.random.Generator(np.random.Philox(seed_seq)).integers(0, 2**63, 8)
+        key = np.random.Philox(np.random.SeedSequence([master_seed, tag]))
+        want = np.random.Generator(key.jumped(block_index)).integers(0, 2**63, 8)
         got = block_generator(master_seed, "simulate", block_index).integers(0, 2**63, 8)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("master_seed, block_index", [(-1, 0), (0, -1)])
+    @pytest.mark.parametrize("master_seed, block_index", [(-1, 0), (0, -1), (0, 2**128)])
     def test_block_generator_refuses_negative_entropy(self, master_seed, block_index):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             block_generator(master_seed, "simulate", block_index)
+
+    @pytest.mark.parametrize("block_index", [-1, 2**128])
+    def test_simulate_blocks_refuses_indices_outside_the_counter_range(self, block_index):
+        with pytest.raises(ValidationError):
+            simulate_blocks(SourceParams(), ChannelParams(), 100, 0, "simulate", [0, block_index])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_simulate_blocks_draws_each_block_from_its_generator(self, sigma):
+        """A block's normal (sigma > 0), then its counts, from block_generator's stream."""
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
+                           block_scintillation_sigma=sigma)
+        indices = [0, 5, 3, 2**64 + 2]
+        counts = simulate_blocks(src, ch, 4_000, 44, "simulate", indices)
+        for row, b in zip(counts, indices):
+            gen = block_generator(44, "simulate", b)
+            multiplier = 1.0
+            if sigma > 0.0:
+                multiplier = np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma)
+            law = _block_law(src, ch, multiplier).ravel()
+            assert np.array_equal(row.ravel(), gen.multinomial(4_000, law))
 
     def test_distinct_streams_are_independent(self):
         a = block_generator(1, "simulate", 0).random(4)
