@@ -5,7 +5,8 @@ centroid wander statistic ``sigma_m = sqrt((sigma_x^2 + sigma_y^2) / 2)``,
 convert it to the Fried coherence length ``r0 = 2 L / (k sigma_m)`` for the
 link geometry, and invert ``r0 = [0.423 k^2 Cn2 L]^(-3/5)`` for the
 refractive-index structure constant.  A synthetic frame generator (Gaussian
-or annular spot on a wandering center) closes the loop for validation.
+or annular spot on a wandering center) closes the loop for validation; it
+draws every center up front and builds each frame only when it is read.
 
 Frame coordinates: x runs along columns, y along rows, both measured in mm
 from the frame corner to the pixel center.  Wander statistics and everything
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -189,39 +190,52 @@ class SpotModel:
             )
 
 
+class SyntheticFrames(Sequence):
+    """Frames of a spot on per-frame center offsets ``(n, 2)`` (dx, dy in mm).
+
+    Each frame is built when it is read, into a fresh ``(rows, cols)`` array.
+    Annular reads share one ``r^2`` scratch buffer, so a sequence must not be
+    read from two threads at once.
+    """
+
+    def __init__(self, spot: SpotModel, offsets: np.ndarray) -> None:
+        self.spot, self.offsets = spot, offsets
+        self._r_sq = np.empty((spot.rows, spot.cols)) if spot.profile == "annular" else None
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
+
+    def __getitem__(self, index: int) -> IntensityFrame:
+        dx, dy = self.offsets[range(len(self))[index]]  # IndexError past the end stops iteration
+        pitch, w_sq = self.spot.pitch_mm, self.spot.waist_mm**2
+        ux, uy = (((np.arange(k) + 0.5) * pitch - (0.5 * k * pitch + d)) ** 2 / w_sq  # d^2 / w^2
+                  for k, d in ((self.spot.cols, dx), (self.spot.rows, dy)))
+        values = np.exp(-2.0 * uy)[:, None] * np.exp(-2.0 * ux)
+        if self._r_sq is not None:
+            values *= np.add(uy[:, None], ux, out=self._r_sq)  # r^2 / w^2
+        return IntensityFrame(values=values, pitch_mm=pitch)
+
+
 def synthesize_frames(
     n: int, spot: SpotModel, wander_std_m: float, rng_seed: int = 0
-) -> list[IntensityFrame]:
-    """Generate ``n`` frames whose spot center performs Gaussian wander.
+) -> SyntheticFrames:
+    """``n`` frames whose spot center performs Gaussian wander.
 
     The per-axis wander standard deviation is ``wander_std_m`` (meters);
-    zero freezes the spot at the frame center.  Deterministic per seed.
+    zero freezes the spot at the frame center.  All offsets are drawn here,
+    so frame ``i`` depends only on the seed and ``i``.
 
     The profile is separable: ``exp(-2 r^2 / w^2)`` is the outer product of a
     row profile ``exp(-2 dy^2 / w^2)`` and a column profile
     ``exp(-2 dx^2 / w^2)``, so each frame costs ``rows + cols`` exponentials.
-    All frames are slices of one ``(n, rows, cols)`` buffer.
+    No frame is built until it is read; see :class:`SyntheticFrames`.
     """
     if n <= 0:
         raise ValidationError(f"frame count must be positive, got {n}")
-    if wander_std_m < 0.0:
-        raise ValidationError("wander standard deviation must be non-negative")
+    if not 0.0 <= wander_std_m < math.inf:
+        raise ValidationError(f"wander_std_m must be non-negative and finite, got {wander_std_m}")
     gen = np.random.default_rng(rng_seed)
-    offsets = gen.normal(0.0, wander_std_m * MM_PER_M, size=(n, 2))
-    x = (np.arange(spot.cols) + 0.5) * spot.pitch_mm
-    y = (np.arange(spot.rows) + 0.5) * spot.pitch_mm
-    cx = 0.5 * spot.cols * spot.pitch_mm + offsets[:, :1]
-    cy = 0.5 * spot.rows * spot.pitch_mm + offsets[:, 1:]
-    w_sq = spot.waist_mm**2
-    ux = (x - cx) ** 2 / w_sq  # (n, cols): dx^2 / w^2
-    uy = (y - cy) ** 2 / w_sq  # (n, rows): dy^2 / w^2
-    values = np.exp(-2.0 * uy)[:, :, None] * np.exp(-2.0 * ux)[:, None, :]
-    if spot.profile == "annular":
-        r_sq = np.empty((spot.rows, spot.cols))  # r^2 / w^2, reused frame by frame
-        for frame, uy_i, ux_i in zip(values, uy, ux):
-            np.add(uy_i[:, None], ux_i, out=r_sq)
-            frame *= r_sq
-    return [IntensityFrame(values=v, pitch_mm=spot.pitch_mm) for v in values]
+    return SyntheticFrames(spot, gen.normal(0.0, wander_std_m * MM_PER_M, size=(n, 2)))
 
 
 def read_frame(path) -> IntensityFrame:

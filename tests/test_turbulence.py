@@ -1,6 +1,7 @@
 """Centroid extraction, wander statistics and the coherence-length chain."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,6 +237,71 @@ class TestSynthesis:
         b = synthesize_frames(3, SpotModel(), 0.3e-3, rng_seed=9)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.values, fb.values)
+
+    @pytest.mark.parametrize("profile", ["gaussian", "annular"])
+    @pytest.mark.parametrize("grid", [dict(), dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5)])
+    def test_frames_equal_the_buffered_construction(self, profile, grid):
+        """Bit for bit the frames of one (n, rows, cols) buffer, built in the same order."""
+        spot = SpotModel(profile=profile, **grid)
+        n, seed = 7, 16
+        offsets = np.random.default_rng(seed).normal(0.0, 0.3, size=(n, 2))
+        x = (np.arange(spot.cols) + 0.5) * spot.pitch_mm
+        y = (np.arange(spot.rows) + 0.5) * spot.pitch_mm
+        cx = 0.5 * spot.cols * spot.pitch_mm + offsets[:, :1]
+        cy = 0.5 * spot.rows * spot.pitch_mm + offsets[:, 1:]
+        ux = (x - cx) ** 2 / spot.waist_mm**2
+        uy = (y - cy) ** 2 / spot.waist_mm**2
+        expected = np.exp(-2.0 * uy)[:, :, None] * np.exp(-2.0 * ux)[:, None, :]
+        if profile == "annular":
+            expected *= uy[:, :, None] + ux[:, None, :]
+        frames = synthesize_frames(n, spot, 0.3e-3, rng_seed=seed)
+        assert len(frames) == n
+        for i in range(n):
+            assert np.array_equal(frames[i].values, expected[i])
+
+    def test_indexing_follows_the_sequence_contract(self):
+        frames = synthesize_frames(4, SpotModel(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5),
+                                   0.3e-3, rng_seed=17)
+        assert len(frames) == 4
+        assert np.array_equal(frames[-1].values, frames[3].values)
+        assert not np.array_equal(frames[-1].values, frames[2].values)
+        with pytest.raises(IndexError):
+            frames[4]
+        with pytest.raises(IndexError):
+            frames[-5]
+        assert len(list(frames)) == 4
+        (frame,) = synthesize_frames(1, SpotModel(), 0.0)
+        assert frame.values.shape == (256, 256)
+
+    @pytest.mark.parametrize("profile", ["gaussian", "annular"])
+    def test_each_read_is_a_fresh_array(self, profile):
+        frames = synthesize_frames(3, SpotModel(profile=profile), 0.3e-3, rng_seed=18)
+        first = frames[1].values
+        kept = first.copy()
+        first += 1.0
+        again = frames[1].values
+        assert again is not first
+        assert np.array_equal(again, kept)
+        assert np.array_equal(frames[0].values, synthesize_frames(
+            3, SpotModel(profile=profile), 0.3e-3, rng_seed=18)[0].values)
+
+    @pytest.mark.parametrize("wander", [math.nan, math.inf, -1e-3])
+    def test_bad_wander_rejected_at_the_call(self, wander):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="wander_std_m"):
+                synthesize_frames(3, SpotModel(), wander)
+
+    def test_centroiding_177_frames_holds_one_frame_at_a_time(self):
+        """A (177, 256, 256) buffer would be 92.8 MB; one frame is 0.5 MB."""
+        tracemalloc.start()
+        try:
+            samples = [centroid(f) for f in synthesize_frames(177, SpotModel(), 0.33e-3)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 177
+        assert peak < 8e6
 
 
 class TestFrameFiles:
