@@ -131,6 +131,8 @@ def _resolve(args) -> dict:
             value = default
         if key in PLAIN_DEFAULTS and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value}")
+        if key == "spot.wander_std_mm" and value < 0.0:
+            raise UsageError(f"{key} must be non-negative, got {value}")
         values[key] = value
     return values
 
@@ -287,6 +289,13 @@ def cmd_keyrate(args) -> int:
     return EXIT_OK
 
 
+def _read_frame_file(path: Path) -> turb.IntensityFrame:
+    try:
+        return turb.read_frame(path)
+    except (ValidationError, ValueError) as exc:
+        raise UsageError(f"malformed frame file {path}: {exc}") from None
+
+
 def cmd_turbulence(args) -> int:
     values = _resolve(args)
     geom = turb.LinkGeometry(
@@ -310,12 +319,7 @@ def cmd_turbulence(args) -> int:
             paths = sorted(p for p in frame_dir.iterdir() if p.is_file())
             if len(paths) < 2:
                 raise UsageError(f"{frame_dir}: need at least 2 frame files, found {len(paths)}")
-            frames = []
-            for path in paths:
-                try:
-                    frames.append(turb.read_frame(path))
-                except (ValidationError, ValueError) as exc:
-                    raise UsageError(f"malformed frame file {path}: {exc}") from None
+            frames = map(_read_frame_file, paths)  # each file is read when its centroid is taken
         elif args.synthetic:
             frames = turb.synthesize_frames(
                 values["spot.n_frames"], _build("spot", values),

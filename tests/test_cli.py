@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,36 @@ class TestTurbulence:
         assert main(["turbulence", "--frames", str(frames_dir), "--out", str(out)]) == 0
         assert len(read_csv(out / "centroids.csv")) == 8
 
+    def test_frame_directory_holds_one_frame_at_a_time(self, tmp_path):
+        """The traced peak does not grow with the number of frame files."""
+        spot = SpotModel(rows=64, cols=64, pitch_mm=0.1, waist_mm=0.4)
+        frames = list(synthesize_frames(16, spot, 0.4e-3, rng_seed=19))
+        dirs = {n: tmp_path / f"frames{n}" for n in (4, 16)}
+        for n, frames_dir in dirs.items():
+            frames_dir.mkdir()
+            for i, frame in enumerate(frames[:n]):
+                write_frame(frames_dir / f"frame_{i:03d}.txt", frame)
+        assert main(["turbulence", "--frames", str(dirs[4]), "--out", str(tmp_path / "warm")]) == 0
+        peaks = {}
+        for n, frames_dir in dirs.items():
+            tracemalloc.start()
+            try:
+                rc = main(["turbulence", "--frames", str(frames_dir),
+                           "--out", str(tmp_path / f"out{n}")])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[16] <= 1.25 * peaks[4], peaks
+
+    def test_all_zero_frame_file_exits_2(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        (frames_dir / "a.txt").write_text("2 2 0.05\n1 2\n3 4\n")
+        (frames_dir / "b.txt").write_text("2 2 0.05\n0 0\n0 0\n")
+        assert main(["turbulence", "--frames", str(frames_dir),
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_malformed_frame_names_file(self, tmp_path, capsys):
         frames_dir = tmp_path / "frames"
         frames_dir.mkdir()
@@ -282,6 +313,19 @@ class TestTurbulence:
         assert main(["turbulence", "--frames", str(frames_dir), "--out", str(out)]) == 1
         assert "frame_001.txt" in capsys.readouterr().err
         assert not (out / "estimate.txt").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_wander_std_names_the_key(self, tmp_path, capsys, source, value):
+        args = ["turbulence", "--synthetic", "--n-frames", "4", "--out", str(tmp_path / "o")]
+        if source == "flag":
+            args += ["--wander-std-mm", value]
+        else:
+            write_config(tmp_path / "run.cfg", {"spot.wander_std_mm": value})
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "spot.wander_std_mm must be" in err and f"got {float(value)}" in err
 
     def test_frozen_spot_exits_2(self, tmp_path):
         rc = main(["turbulence", "--synthetic", "--n-frames", "10",

@@ -26,6 +26,9 @@ from oamqkd import (
 from oamqkd.turbulence import FRIED_CN2_CONSTANT, read_frame, write_frame
 
 GEOMETRY = LinkGeometry(length_m=210.0, wavelength_m=850e-9)
+#: A narrow spot whose dimmest pixel is ~1e-274 when centred: wander offsets of
+#: ~0.3 mm push the far corners into subnormals and exact zeros.
+UNDERFLOW_GRID = dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.19)
 
 
 class TestCentroid:
@@ -239,9 +242,10 @@ class TestSynthesis:
             assert np.array_equal(fa.values, fb.values)
 
     @pytest.mark.parametrize("profile", ["gaussian", "annular"])
-    @pytest.mark.parametrize("grid", [dict(), dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5)])
+    @pytest.mark.parametrize("grid", [dict(), dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5),
+                                      UNDERFLOW_GRID])
     def test_frames_equal_the_buffered_construction(self, profile, grid):
-        """Bit for bit the frames of one (n, rows, cols) buffer, built in the same order."""
+        """Bit for bit (signed zeros included) the frames of one (n, rows, cols) buffer."""
         spot = SpotModel(profile=profile, **grid)
         n, seed = 7, 16
         offsets = np.random.default_rng(seed).normal(0.0, 0.3, size=(n, 2))
@@ -254,10 +258,11 @@ class TestSynthesis:
         expected = np.exp(-2.0 * uy)[:, :, None] * np.exp(-2.0 * ux)[:, None, :]
         if profile == "annular":
             expected *= uy[:, :, None] + ux[:, None, :]
+        assert (expected == 0.0).any() == (grid is UNDERFLOW_GRID)
         frames = synthesize_frames(n, spot, 0.3e-3, rng_seed=seed)
         assert len(frames) == n
         for i in range(n):
-            assert np.array_equal(frames[i].values, expected[i])
+            assert frames[i].values.tobytes() == expected[i].tobytes()
 
     def test_indexing_follows_the_sequence_contract(self):
         frames = synthesize_frames(4, SpotModel(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5),
