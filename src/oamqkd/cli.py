@@ -133,6 +133,8 @@ def _resolve(args) -> dict:
             raise UsageError(f"{key} must be finite, got {value}")
         if key == "spot.wander_std_mm" and value < 0.0:
             raise UsageError(f"{key} must be non-negative, got {value}")
+        if key in ("run.pulses", "run.block_size", "spot.n_frames") and value <= 0:
+            raise UsageError(f"{key} must be positive, got {value}")
         values[key] = value
     return values
 

@@ -98,15 +98,19 @@ class TurbulenceEstimate:
 
 
 def centroid(frame: IntensityFrame) -> CentroidSample:
-    """Intensity-weighted mean of pixel centers, scaled by the pitch."""
-    row_sums = frame.values.sum(axis=1)
+    """Intensity-weighted mean of pixel centers, scaled by the pitch.
+
+    One BLAS product ``values @ [1, j + 0.5]`` reads the pixels once.  It sums
+    each row in BLAS order, not numpy's pairwise order (a few ULP apart), on a
+    C-ordered aligned copy where needed: a Fortran operand sums in another order.
+    """
+    weights = np.stack([np.ones(frame.cols), np.arange(frame.cols) + 0.5], axis=1)
+    row_sums, row_x = (np.require(frame.values, requirements="CA") @ weights).T
     total = float(row_sums.sum())
     if total <= 0.0:
         raise DegenerateInputError("cannot take the centroid of an all-zero frame")
-    rows = np.arange(frame.rows) + 0.5
-    cols = np.arange(frame.cols) + 0.5
-    y = float((row_sums @ rows) / total) * frame.pitch_mm
-    x = float((frame.values.sum(axis=0) @ cols) / total) * frame.pitch_mm
+    y = float((row_sums @ (np.arange(frame.rows) + 0.5)) / total) * frame.pitch_mm
+    x = float(row_x.sum() / total) * frame.pitch_mm
     return CentroidSample(x_mm=x, y_mm=y)
 
 
@@ -119,8 +123,8 @@ def wander_sigma(samples: Sequence[CentroidSample]) -> float:
     """
     if len(samples) < 2:
         raise DegenerateInputError(f"need at least 2 centroid samples, got {len(samples)}")
-    x = np.array([s.x_mm for s in samples])
-    y = np.array([s.y_mm for s in samples])
+    # About the first sample: identical samples give exactly 0, where their mean need not be exact.
+    x, y = (v - v[0] for v in np.array([(s.x_mm, s.y_mm) for s in samples]).T)
     sigma_mm = math.sqrt(0.5 * (float(np.var(x)) + float(np.var(y))))
     return sigma_mm / MM_PER_M
 
@@ -194,19 +198,23 @@ class SyntheticFrames(Sequence):
     """Frames of a spot on per-frame center offsets ``(n, 2)`` (dx, dy in mm).
 
     Each frame is built when it is read, into a fresh ``(rows, cols)`` array.
-    The profile is separable: ``exp(-2 r^2 / w^2)`` is the ``einsum`` outer
-    product of a row profile ``exp(-2 dy^2 / w^2)`` and a column profile
-    ``exp(-2 dx^2 / w^2)``, so a frame costs ``rows + cols`` exponentials.  An
-    annular spot's ``r^2 / w^2`` is summed in place in one scratch buffer, so a
-    sequence must not be read from two threads at once.  Both passes are
-    contiguous: a broadcast ufunc over 256-wide rows pays a per-row iterator
-    cost and takes about twice as long.
+    The profile is separable, so a frame costs ``rows + cols`` exponentials and
+    BLAS products of inner dimension 2 (OpenBLAS is 5-9x slower for 1) of factor
+    columns ``[e_y, 0, u_y, 1]`` and rows ``[e_x; 0; 1; u_x]``, where
+    ``u = d^2 / w^2`` and ``e = exp(-2 u)``.  The spot ``[e_y, 0] @ [e_x; 0]``
+    is ``e_y e_x + 0 * 0``, rounded once in any order, with or without FMA: the
+    outer product, bit for bit.  An annular ``r^2 / w^2 = [u_y, 1] @ [1; u_x]``
+    multiplies by 1 only, so it is ``fl(u_y + u_x)``; it goes into a scratch
+    buffer, since a fresh 512 KB temporary is faulted in anew for every frame.
+    A sequence shares these three buffers: do not read it from two threads.
     """
 
     def __init__(self, spot: SpotModel, offsets: np.ndarray) -> None:
         self.spot, self.offsets = spot, offsets
         self._axes = tuple(((np.arange(k) + 0.5) * spot.pitch_mm, 0.5 * k * spot.pitch_mm)
                            for k in (spot.cols, spot.rows))  # (pixel centers, center) per axis
+        self._left = np.tile([0.0, 0.0, 0.0, 1.0], (spot.rows, 1))  # [e_y, 0, u_y, 1]
+        self._right = np.tile([[0.0], [0.0], [1.0], [0.0]], (1, spot.cols))  # [e_x; 0; 1; u_x]
         self._r_sq = np.empty((spot.rows, spot.cols)) if spot.profile == "annular" else None
 
     def __len__(self) -> int:
@@ -216,12 +224,12 @@ class SyntheticFrames(Sequence):
         dx, dy = self.offsets[range(len(self))[index]]  # IndexError past the end stops iteration
         ux, uy = ((centers - (middle + d)) ** 2 / self.spot.waist_mm**2  # d^2 / w^2
                   for (centers, middle), d in zip(self._axes, (dx, dy)))
-        # einsum adds each product to +0.0, which keeps it bit-identical: both factors are >= +0.
-        values = np.einsum("i,j->ij", np.exp(-2.0 * uy), np.exp(-2.0 * ux))
+        # exp into a fresh contiguous array, then copied: a strided exp may take another SIMD path
+        self._left[:, 0], self._right[0] = np.exp(-2.0 * uy), np.exp(-2.0 * ux)
+        values = self._left[:, :2] @ self._right[:2]
         if self._r_sq is not None:
-            np.copyto(self._r_sq.T, uy)  # each column of the scratch buffer is uy
-            self._r_sq += ux  # r^2 / w^2
-            values *= self._r_sq
+            self._left[:, 2], self._right[3] = uy, ux
+            values *= np.matmul(self._left[:, 2:], self._right[2:], out=self._r_sq)
         return IntensityFrame(values=values, pitch_mm=self.spot.pitch_mm)
 
 

@@ -327,6 +327,14 @@ class TestTurbulence:
         err = capsys.readouterr().err
         assert "spot.wander_std_mm must be" in err and f"got {float(value)}" in err
 
+    def test_frozen_gaussian_spot_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["turbulence", "--synthetic", "--wander-std-mm", "0", "--n-frames", "3",
+                   "--profile", "gaussian", "--waist-mm", "1.28", "--out", str(out)])
+        assert rc == 2
+        assert "do not wander" in capsys.readouterr().err
+        assert not (out / "estimate.txt").exists()
+
     def test_frozen_spot_exits_2(self, tmp_path):
         rc = main(["turbulence", "--synthetic", "--n-frames", "10",
                    "--wander-std-mm", "0", "--out", str(tmp_path / "o")])
@@ -478,6 +486,26 @@ class TestConfigKeys:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"{cfg}: key {key!r} has invalid value {raw!r}" in err
+
+    @pytest.mark.parametrize("command, flag, key", [
+        (["simulate"], "--pulses", "run.pulses"),
+        (["simulate"], "--block-size", "run.block_size"),
+        (["turbulence", "--synthetic"], "--n-frames", "spot.n_frames"),
+    ])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_positive_count_names_the_key(self, tmp_path, capsys, command, flag, key,
+                                              value, source):
+        out = tmp_path / "o"
+        args = command + ["--out", str(out)]
+        if source == "flag":
+            args += [flag, value]
+        else:
+            write_config(tmp_path / "run.cfg", {key: value})
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 1
+        assert f"error: {key} must be positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int_flags_parse_like_config_values(self, tmp_path):
         """A base prefix works on the flag as in the file, with the same outputs."""

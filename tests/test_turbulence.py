@@ -29,6 +29,8 @@ GEOMETRY = LinkGeometry(length_m=210.0, wavelength_m=850e-9)
 #: A narrow spot whose dimmest pixel is ~1e-274 when centred: wander offsets of
 #: ~0.3 mm push the far corners into subnormals and exact zeros.
 UNDERFLOW_GRID = dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.19)
+#: Odd, unequal dimensions: neither count is a multiple of a SIMD width.
+ODD_GRID = dict(rows=97, cols=131, pitch_mm=0.05, waist_mm=0.5)
 
 
 class TestCentroid:
@@ -57,6 +59,34 @@ class TestCentroid:
     def test_all_zero_frame_rejected(self):
         with pytest.raises(DegenerateInputError):
             centroid(IntensityFrame(values=np.zeros((4, 4)), pitch_mm=1.0))
+
+    @pytest.mark.parametrize("profile", ["gaussian", "annular"])
+    @pytest.mark.parametrize("grid", [dict(), ODD_GRID])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_two_axis_sums(self, profile, grid, seed):
+        """Within 8 ULP of the intensity-weighted mean taken from two numpy axis sums."""
+        for frame in synthesize_frames(6, SpotModel(profile=profile, **grid), 0.3e-3, seed):
+            row_sums = frame.values.sum(axis=1)
+            total = row_sums.sum()
+            y = (row_sums @ (np.arange(frame.rows) + 0.5)) / total * frame.pitch_mm
+            x = (frame.values.sum(axis=0) @ (np.arange(frame.cols) + 0.5)) / total * frame.pitch_mm
+            sample = centroid(frame)
+            assert abs(sample.x_mm - x) <= 8 * np.spacing(x)
+            assert abs(sample.y_mm - y) <= 8 * np.spacing(y)
+
+    @pytest.mark.parametrize("grid", [dict(), ODD_GRID])
+    def test_memory_layout_leaves_the_centroid_unchanged(self, grid):
+        """Offset, unaligned and Fortran-ordered copies give the same bits as the frame."""
+        frame = synthesize_frames(1, SpotModel(**grid), 0.3e-3, rng_seed=19)[0]
+        values, shape = frame.values, frame.values.shape
+        offset = np.empty(values.size + 3)[3:].reshape(shape)
+        unaligned = np.ndarray(shape, dtype=float, buffer=bytearray(values.nbytes + 8), offset=1)
+        assert not unaligned.flags.aligned
+        copies = [offset, unaligned, np.asfortranarray(values)]
+        expected = centroid(frame)
+        for copy in copies:
+            copy[...] = values
+            assert centroid(IntensityFrame(values=copy, pitch_mm=frame.pitch_mm)) == expected
 
     def test_negative_intensity_rejected(self):
         values = np.ones((3, 3))
@@ -209,6 +239,16 @@ class TestSynthesis:
         with pytest.raises(DegenerateInputError):
             estimate_turbulence([centroid(f) for f in frames], GEOMETRY)
 
+    @pytest.mark.parametrize("profile", ["gaussian", "annular"])
+    @pytest.mark.parametrize("waist_mm", [1.0, 1.28])
+    @pytest.mark.parametrize("n", [3, 5, 7, 177])
+    def test_frozen_spot_has_exactly_zero_wander(self, profile, waist_mm, n):
+        frames = synthesize_frames(n, SpotModel(waist_mm=waist_mm, profile=profile), 0.0)
+        samples = [centroid(f) for f in frames]
+        assert wander_sigma(samples) == 0.0
+        with pytest.raises(DegenerateInputError):
+            estimate_turbulence(samples, GEOMETRY)
+
     def test_oversized_spot_rejected(self):
         with pytest.raises(ValidationError):
             SpotModel(rows=32, cols=32, pitch_mm=0.05, waist_mm=1.0)
@@ -243,7 +283,7 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("profile", ["gaussian", "annular"])
     @pytest.mark.parametrize("grid", [dict(), dict(rows=40, cols=56, pitch_mm=0.1, waist_mm=0.5),
-                                      UNDERFLOW_GRID])
+                                      UNDERFLOW_GRID, ODD_GRID])
     def test_frames_equal_the_buffered_construction(self, profile, grid):
         """Bit for bit (signed zeros included) the frames of one (n, rows, cols) buffer."""
         spot = SpotModel(profile=profile, **grid)
