@@ -6,7 +6,6 @@ turbulence estimation and rate-versus-gain link budgets.
 """
 
 from .errors import (
-    BoundUndefinedError,
     DegenerateInputError,
     DomainError,
     EncodingMismatchError,
@@ -32,7 +31,6 @@ from .link_budget import (
     dark_yield,
     gain_threshold,
     loss_margin_db,
-    predicted_qbers,
     rate_vs_gain,
 )
 from .optics import (

@@ -21,7 +21,6 @@ from . import link_budget as lb
 from . import simulator as sim
 from . import turbulence as turb
 from .errors import (
-    BoundUndefinedError,
     DegenerateInputError,
     DomainError,
     EstimationError,
@@ -56,6 +55,9 @@ PLAIN_DEFAULTS = {
     "sweep.q_mu_min": 1e-5, "sweep.q_mu_max": 1.0, "sweep.points": 51,
     "sweep.measured_gain": 1.2e-2,
 }
+#: Plain keys whose value must be positive.
+_POSITIVE = {"run.pulses", "run.block_size", "spot.n_frames", "sweep.points",
+             "geometry.length_m", "geometry.wavelength_nm", "geometry.beam_radius_m"}
 
 
 def _key(section: str, field: str) -> str:
@@ -133,9 +135,13 @@ def _resolve(args) -> dict:
             raise UsageError(f"{key} must be finite, got {value}")
         if key == "spot.wander_std_mm" and value < 0.0:
             raise UsageError(f"{key} must be non-negative, got {value}")
-        if key in ("run.pulses", "run.block_size", "spot.n_frames") and value <= 0:
+        if key in _POSITIVE and value <= 0:
             raise UsageError(f"{key} must be positive, got {value}")
         values[key] = value
+    if values["run.block_size"] > values["run.pulses"]:
+        raise UsageError(f"run.block_size must not exceed run.pulses, got "
+                         f"run.block_size={values['run.block_size']}, "
+                         f"run.pulses={values['run.pulses']}")
     return values
 
 
@@ -220,6 +226,11 @@ def cmd_simulate(args) -> int:
             "single_photon_sifted": sp.sifted,
         },
     )
+    dropped = n_pulses % block_size
+    if dropped:
+        print(f"note: simulated {n_pulses - dropped} of run.pulses={n_pulses} in whole blocks "
+              f"of run.block_size={block_size}; the trailing {dropped} were dropped",
+              file=sys.stderr)
     print(f"wrote {out / 'blocks.csv'} and {out / 'observables.txt'}", file=sys.stderr)
     return EXIT_OK
 
@@ -305,8 +316,6 @@ def cmd_turbulence(args) -> int:
         wavelength_m=values["geometry.wavelength_nm"] * 1e-9,
     )
     beam_radius_m = values["geometry.beam_radius_m"]
-    if not beam_radius_m > 0.0:
-        raise UsageError(f"geometry.beam_radius_m must be positive, got {beam_radius_m}")
     out = Path(args.out)
 
     if args.sigma_m_mm is not None:
@@ -360,8 +369,6 @@ def cmd_sweep(args) -> int:
     params = _build("budget", values)
     q_min, q_max = values["sweep.q_mu_min"], values["sweep.q_mu_max"]
     points, measured_gain = values["sweep.points"], values["sweep.measured_gain"]
-    if points <= 0:
-        raise UsageError(f"sweep needs a non-empty grid, got points={points}")
     if not 0.0 < q_min <= q_max <= 1.0:
         raise UsageError(
             f"need 0 < sweep.q_mu_min <= sweep.q_mu_max <= 1, got {q_min}, {q_max}"
@@ -418,7 +425,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, BoundUndefinedError, EstimationError, DegenerateInputError) as exc:
+    except (DomainError, EstimationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

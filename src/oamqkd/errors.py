@@ -13,10 +13,6 @@ class DomainError(ValueError):
     """Raised when a closed-form expression is evaluated outside its domain."""
 
 
-class BoundUndefinedError(DomainError):
-    """Raised when a decoy bound cannot be formed (e.g. zero single-photon gain)."""
-
-
 class EstimationError(RuntimeError):
     """Raised when session data is insufficient to estimate the decoy observables."""
 

@@ -4,16 +4,16 @@ Given the measured gains and error rates of the signal and decoy intensity
 classes plus the vacuum yield, these routines bound the single-photon gain
 from below and the single-photon error rate from above, model the
 error-correction leakage as ``f * h2(E)``, and assemble the secret key rate
-in secret bits per sifted bit.
+in secret bits per sifted bit.  Each bound returns ``(value, clamped)``; a
+zero gain bound pins the error bound at 1, flagged, and adds no key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import BoundUndefinedError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,12 @@ class ECModel:
             raise ValidationError(f"vacuum error rate e0 must lie in [0, 1], got {self.e0}")
 
 
-class Bounded(NamedTuple):
-    """A bound value plus whether it had to be clamped into its valid range."""
-
-    value: float
-    clamped: bool
-
-
 @dataclass(frozen=True)
 class KeyRateBreakdown:
     """All terms entering the decoy secret key rate, plus the rate itself.
 
-    ``rate`` is reported as computed, negative values included.  ``secure``
+    ``rate`` is reported as computed, negative values included.  A gain
+    bound of zero pins ``e1_upper`` at 1 with ``e1_clamped``.  ``secure``
     needs ``rate > 0``, a positive single-photon gain bound and a
     single-photon error bound below 1/2: without the last two the
     single-photon term is zero and a rate from the vacuum term alone
@@ -99,9 +93,13 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _q1_unclamped(obs: DecoyObservables) -> float:
-    """``mu^2 e^-mu / (mu nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2
-    - (mu^2 - nu^2)/mu^2 * Y0)``, negative values included."""
+def q1_lower(obs: DecoyObservables) -> tuple[float, bool]:
+    """Lower bound on the single-photon gain of the signal class, and whether it clamped.
+
+    ``mu^2 e^-mu / (mu nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2
+    - (mu^2 - nu^2)/mu^2 * Y0)``, with negative values (possible under
+    statistical fluctuation of the inputs) clamped to zero and flagged.
+    """
     mu, nu = obs.mu, obs.nu
     denom = mu * nu - nu * nu
     if denom <= 0.0:
@@ -111,36 +109,29 @@ def _q1_unclamped(obs: DecoyObservables) -> float:
         - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
         - (mu * mu - nu * nu) / (mu * mu) * obs.y0
     )
-    return mu * mu * math.exp(-mu) / denom * bracket
-
-
-def q1_lower(obs: DecoyObservables) -> Bounded:
-    """Lower bound on the single-photon gain of the signal class.
-
-    Clamps negative values of the decoy bound (possible under statistical
-    fluctuation of the inputs) to zero with ``clamped=True``.
-    """
-    value = _q1_unclamped(obs)
+    value = mu * mu * math.exp(-mu) / denom * bracket
     if value < 0.0:
-        return Bounded(0.0, True)
-    return Bounded(value, False)
+        return 0.0, True
+    return value, False
 
 
-def e1_upper(obs: DecoyObservables, q1l: float, ec: ECModel = ECModel()) -> Bounded:
-    """Upper bound on the single-photon error rate, given a positive gain bound.
+def e1_upper(obs: DecoyObservables, q1l: float, ec: ECModel = ECModel()) -> tuple[float, bool]:
+    """Upper bound on the single-photon error rate, and whether it clamped.
 
     Evaluates ``(E_nu Q_nu e^nu - e0 Y0) / (Q1_L (nu/mu) e^mu)`` and clamps
-    the result into [0, 1] with ``clamped=True`` when it falls outside.
+    the result into [0, 1], flagged, when it falls outside.  A gain bound
+    ``q1l <= 0`` certifies no single photon, so nothing bounds their errors:
+    the bound is then 1, flagged, its pessimistic extreme.
     """
     if q1l <= 0.0:
-        raise BoundUndefinedError("single-photon error bound undefined for zero gain bound")
+        return 1.0, True
     numerator = obs.e_nu * obs.q_nu * math.exp(obs.nu) - ec.e0 * obs.y0
     value = numerator / (q1l * (obs.nu / obs.mu) * math.exp(obs.mu))
     if value < 0.0:
-        return Bounded(0.0, True)
+        return 0.0, True
     if value > 1.0:
-        return Bounded(1.0, True)
-    return Bounded(value, False)
+        return 1.0, True
+    return value, False
 
 
 def q0_gain(obs: DecoyObservables) -> float:
@@ -151,28 +142,21 @@ def q0_gain(obs: DecoyObservables) -> float:
 def secret_key_rate(obs: DecoyObservables, ec: ECModel = ECModel()) -> KeyRateBreakdown:
     """Assemble the decoy secret key rate in secret bits per sifted bit.
 
-    ``rate = Q1_L/Q_mu * (1 - h2(e1_U)) - f*h2(E_mu) + Q0/Q_mu``.  When the
-    gain bound clamps to zero the single-photon term vanishes and the error
-    bound is pinned, flagged, at its pessimistic extreme.  An error bound at
+    ``rate = Q1_L/Q_mu * (1 - h2(e1_U)) - f*h2(E_mu) + Q0/Q_mu``, from
+    :func:`q1_lower` and :func:`e1_upper` as they stand.  An error bound at
     or beyond 1/2 certifies nothing, so the amplification factor is floored
-    at zero there instead of letting ``1 - h2`` grow again.
+    at zero there instead of letting ``1 - h2`` grow again; a zero gain
+    bound, whose error bound is 1, thus adds nothing.
 
     Raises :class:`DomainError` where the bounds leave the float range, which
     only observables far outside the decoy model's reach can cause.
     """
     try:
-        q1 = _q1_unclamped(obs)
-        q1_clamped = q1 < 0.0
-        if q1_clamped:
-            q1 = 0.0
+        q1, q1_clamped = q1_lower(obs)
+        e1, e1_clamped = e1_upper(obs, q1, ec)
         q0 = q0_gain(obs)
         leak = ec.f * binary_entropy(obs.e_mu)
-        if q1 > 0.0:
-            e1, e1_clamped = e1_upper(obs, q1, ec)
-            amplified = 1.0 - binary_entropy(min(e1, 0.5))
-        else:
-            e1, e1_clamped, amplified = 1.0, True, 0.0
-        rate = q1 / obs.q_mu * amplified - leak + q0 / obs.q_mu
+        rate = q1 / obs.q_mu * (1.0 - binary_entropy(min(e1, 0.5))) - leak + q0 / obs.q_mu
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"decoy bounds leave the float range ({exc}) for {obs}") from None
     if not math.isfinite(rate):

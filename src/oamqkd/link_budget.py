@@ -63,26 +63,10 @@ def dark_yield(dark_rate: float, gate: float) -> float:
     return dark_rate * gate
 
 
-class PredictedQbers(NamedTuple):
-    e_mu_star: float
-    e_nu_star: float
-
-
 def _starred(q: float, p: LinkBudgetParams) -> float:
     """``E*`` at gain ``q``, the dark fraction ``Y0/Q`` clamped at 1."""
     w = min(1.0, p.y0 / q)
     return 0.5 * w + p.e_ch * (1.0 - w)
-
-
-def predicted_qbers(q_mu: float, p: LinkBudgetParams) -> PredictedQbers:
-    """Expected signal/decoy QBERs at signal gain ``q_mu``.
-
-    Each QBER interpolates between ``e_ch`` (gain far above the dark floor)
-    and 0.5 (dark-dominated, ``q_mu <= y0``).
-    """
-    if q_mu <= 0.0:
-        raise DomainError(f"signal gain must be positive, got {q_mu}")
-    return PredictedQbers(_starred(q_mu, p), _starred((p.nu / p.mu) * q_mu, p))
 
 
 def _observables(q_mu: float, p: LinkBudgetParams) -> DecoyObservables:

@@ -491,6 +491,10 @@ class TestConfigKeys:
         (["simulate"], "--pulses", "run.pulses"),
         (["simulate"], "--block-size", "run.block_size"),
         (["turbulence", "--synthetic"], "--n-frames", "spot.n_frames"),
+        (["sweep"], "--points", "sweep.points"),
+        (["turbulence", "--synthetic"], "--length-m", "geometry.length_m"),
+        (["turbulence", "--synthetic"], "--wavelength-nm", "geometry.wavelength_nm"),
+        (["turbulence", "--sigma-m-mm", "0.33"], "--beam-radius-m", "geometry.beam_radius_m"),
     ])
     @pytest.mark.parametrize("value", ["-1", "0"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -506,6 +510,26 @@ class TestConfigKeys:
         assert main(args) == 1
         assert f"error: {key} must be positive, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_block_size_above_pulses_names_both_keys(self, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        args = ["simulate", "--out", str(out)]
+        if source == "flag":
+            args += ["--pulses", "100"]
+        else:
+            write_config(tmp_path / "run.cfg", {"run.pulses": 100})
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "run.block_size=2880, run.pulses=100" in err
+        assert not out.exists()
+
+    def test_trailing_partial_block_is_reported(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--pulses", "5000", "--out", str(out)]) == 0
+        assert "simulated 2880 of run.pulses=5000" in capsys.readouterr().err
+        assert read_key_values(out / "observables.txt")["n_blocks"] == "1"
 
     def test_int_flags_parse_like_config_values(self, tmp_path):
         """A base prefix works on the flag as in the file, with the same outputs."""

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from oamqkd import (
-    BoundUndefinedError,
     DecoyObservables,
     DomainError,
     ECModel,
@@ -26,7 +25,6 @@ from oamqkd import (
     secret_key_rate,
     single_photon_rate,
 )
-from oamqkd.keyrate import Bounded
 
 MU, NU = 0.623, 0.165
 
@@ -75,9 +73,9 @@ class TestBinaryEntropy:
 
 class TestSinglePhotonGainBound:
     def test_reference_value(self):
-        result = q1_lower(observables(0))
-        assert not result.clamped
-        assert result.value == pytest.approx(ORACLE[0]["q1l"], rel=1e-10)
+        value, clamped = q1_lower(observables(0))
+        assert not clamped
+        assert value == pytest.approx(ORACLE[0]["q1l"], rel=1e-10)
 
     def test_vanishing_bracket(self):
         row = REFERENCE_ROWS[0]
@@ -87,22 +85,21 @@ class TestSinglePhotonGainBound:
         ) / math.exp(NU)
         obs = DecoyObservables(mu=MU, nu=NU, q_mu=row["q_mu"], e_mu=row["e_mu"],
                                q_nu=q_nu, e_nu=row["e_nu"], y0=row["y0"])
-        result = q1_lower(obs)
-        assert abs(result.value) < 1e-15
+        value, _ = q1_lower(obs)
+        assert abs(value) < 1e-15
 
     def test_monotone_decreasing_in_vacuum_yield(self):
         values = []
         for y0 in (1e-5, 1e-4, 5e-4, 1e-3):
             obs = DecoyObservables(mu=MU, nu=NU, q_mu=1.43e-2, e_mu=0.0381,
                                    q_nu=4.77e-3, e_nu=0.0763, y0=y0)
-            values.append(q1_lower(obs).value)
+            values.append(q1_lower(obs)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_negative_bracket_clamps_with_flag(self):
         obs = DecoyObservables(mu=MU, nu=NU, q_mu=1.43e-2, e_mu=0.0381,
                                q_nu=1e-4, e_nu=0.0763, y0=3.77e-4)
-        result = q1_lower(obs)
-        assert result.value == 0.0 and result.clamped
+        assert q1_lower(obs) == (0.0, True)
 
     def test_intensity_ordering_enforced(self):
         with pytest.raises(ValidationError):
@@ -121,41 +118,39 @@ class TestSinglePhotonGainBound:
 class TestSinglePhotonErrorBound:
     def test_reference_value(self):
         obs = observables(0)
-        q1l = q1_lower(obs).value
-        result = e1_upper(obs, q1l)
-        assert not result.clamped
-        assert result.value == pytest.approx(ORACLE[0]["e1u"], rel=1e-10)
+        q1l, _ = q1_lower(obs)
+        value, clamped = e1_upper(obs, q1l)
+        assert not clamped
+        assert value == pytest.approx(ORACLE[0]["e1u"], rel=1e-10)
 
     def test_vanishing_numerator(self):
         row = REFERENCE_ROWS[0]
         e_nu = 0.5 * row["y0"] / (row["q_nu"] * math.exp(NU))
         obs = DecoyObservables(mu=MU, nu=NU, q_mu=row["q_mu"], e_mu=row["e_mu"],
                                q_nu=row["q_nu"], e_nu=e_nu, y0=row["y0"])
-        result = e1_upper(obs, q1_lower(obs).value)
-        assert abs(result.value) < 1e-15
+        value, _ = e1_upper(obs, q1_lower(obs)[0])
+        assert abs(value) < 1e-15
 
     def test_strictly_increasing_in_decoy_qber(self):
         obs_lo = observables(0)
         row = dict(REFERENCE_ROWS[0])
         row["e_nu"] = 2 * row["e_nu"]
         obs_hi = DecoyObservables(mu=MU, nu=NU, **row)
-        q1l = q1_lower(obs_lo).value
-        assert e1_upper(obs_hi, q1l).value > e1_upper(obs_lo, q1l).value
+        q1l, _ = q1_lower(obs_lo)
+        assert e1_upper(obs_hi, q1l)[0] > e1_upper(obs_lo, q1l)[0]
 
-    def test_zero_gain_bound_is_undefined(self):
-        with pytest.raises(BoundUndefinedError):
-            e1_upper(observables(0), 0.0)
+    def test_zero_gain_bound_pins_the_error_bound_at_one(self):
+        """A gain bound of zero certifies no single photon, so nothing bounds their errors."""
+        assert e1_upper(observables(0), 0.0) == (1.0, True)
 
     def test_negative_numerator_clamps_to_zero(self):
         obs = DecoyObservables(mu=MU, nu=NU, q_mu=1.43e-2, e_mu=0.0381,
                                q_nu=4.77e-3, e_nu=1e-5, y0=3.77e-4)
-        result = e1_upper(obs, q1_lower(obs).value)
-        assert result.value == 0.0 and result.clamped
+        assert e1_upper(obs, q1_lower(obs)[0]) == (0.0, True)
 
     def test_oversized_quotient_clamps_to_one(self):
         obs = observables(0)
-        result = e1_upper(obs, 1e-6)
-        assert result.value == 1.0 and result.clamped
+        assert e1_upper(obs, 1e-6) == (1.0, True)
 
 
 class TestVacuumGain:
@@ -260,21 +255,25 @@ class TestSecretKeyRate:
 
 
 def assembled_breakdown(obs: DecoyObservables, ec: ECModel) -> KeyRateBreakdown:
-    """The key rate built term by term from the public bound functions."""
-    q1 = q1_lower(obs)
-    if q1.value > 0.0:
-        e1 = e1_upper(obs, q1.value, ec)
-        amplified = 1.0 - binary_entropy(min(e1.value, 0.5))
+    """The key rate built term by term from the public bound functions.
+
+    It keeps an explicit zero-gain branch (no single-photon term, error bound
+    1 and flagged), which ``secret_key_rate`` leaves to ``e1_upper``.
+    """
+    q1, q1_clamped = q1_lower(obs)
+    if q1 > 0.0:
+        e1, e1_clamped = e1_upper(obs, q1, ec)
+        amplified = 1.0 - binary_entropy(min(e1, 0.5))
     else:
-        e1 = Bounded(1.0, True)
+        e1, e1_clamped = 1.0, True
         amplified = 0.0
     q0 = q0_gain(obs)
     leak = ec.f * binary_entropy(obs.e_mu)
-    rate = q1.value / obs.q_mu * amplified - leak + q0 / obs.q_mu
+    rate = q1 / obs.q_mu * amplified - leak + q0 / obs.q_mu
     return KeyRateBreakdown(
-        q1_lower=q1.value, e1_upper=e1.value, q0=q0, leak_ec=leak, rate=rate,
-        q1_clamped=q1.clamped, e1_clamped=e1.clamped,
-        secure=rate > 0.0 and q1.value > 0.0 and e1.value < 0.5,
+        q1_lower=q1, e1_upper=e1, q0=q0, leak_ec=leak, rate=rate,
+        q1_clamped=q1_clamped, e1_clamped=e1_clamped,
+        secure=rate > 0.0 and q1 > 0.0 and e1 < 0.5,
     )
 
 

@@ -17,7 +17,6 @@ from oamqkd import (
     dark_yield,
     gain_threshold,
     loss_margin_db,
-    predicted_qbers,
     rate_vs_gain,
     secret_key_rate,
 )
@@ -34,14 +33,25 @@ GRID = [
 ] + [LinkBudgetParams(f=1.2), LinkBudgetParams(f=1.5, e_ch=0.01)]
 
 
+def starred(q, p):
+    """``E* = 0.5 w + E_ch (1 - w)`` with ``w = min(1, Y0/Q)``: the expected QBER at gain q."""
+    w = min(1.0, p.y0 / q)
+    return 0.5 * w + p.e_ch * (1.0 - w)
+
+
 def direct_breakdown(q_mu, p):
-    """predicted_qbers -> DecoyObservables -> secret_key_rate, spelled out."""
-    stars = predicted_qbers(q_mu, p)
-    obs = DecoyObservables(
-        mu=p.mu, nu=p.nu, q_mu=q_mu, e_mu=stars.e_mu_star,
-        q_nu=p.nu / p.mu * q_mu, e_nu=stars.e_nu_star, y0=p.y0,
-    )
+    """E* -> DecoyObservables -> secret_key_rate, spelled out: ((E*_mu, E*_nu), breakdown)."""
+    q_nu = p.nu / p.mu * q_mu
+    stars = (starred(q_mu, p), starred(q_nu, p))
+    obs = DecoyObservables(mu=p.mu, nu=p.nu, q_mu=q_mu, e_mu=stars[0], q_nu=q_nu,
+                           e_nu=stars[1], y0=p.y0)
     return stars, secret_key_rate(obs, ECModel(f=p.f))
+
+
+def point_stars(q_mu, p):
+    """(e_mu_star, e_nu_star) of the rate_vs_gain point at q_mu."""
+    point = rate_vs_gain([q_mu], p)[0]
+    return point.e_mu_star, point.e_nu_star
 
 
 def reference_threshold(p):
@@ -100,41 +110,44 @@ class TestDarkYield:
 
 
 class TestPredictedQbers:
+    """The E* of each rate_vs_gain point."""
+
     def test_no_dark_contribution(self):
         p = LinkBudgetParams(y0=0.0)
-        stars = predicted_qbers(1e-3, p)
-        assert stars.e_mu_star == pytest.approx(0.02, abs=1e-15)
-        assert stars.e_nu_star == pytest.approx(0.02, abs=1e-15)
+        e_mu_star, e_nu_star = point_stars(1e-3, p)
+        assert e_mu_star == pytest.approx(0.02, abs=1e-15)
+        assert e_nu_star == pytest.approx(0.02, abs=1e-15)
 
     def test_reference_point(self):
-        stars = predicted_qbers(1e-4, DEFAULTS)
-        assert stars.e_mu_star == pytest.approx(0.044, rel=1e-10)
-        assert stars.e_nu_star == pytest.approx(0.110618181818, rel=1e-10)
+        e_mu_star, e_nu_star = point_stars(1e-4, DEFAULTS)
+        assert e_mu_star == pytest.approx(0.044, rel=1e-10)
+        assert e_nu_star == pytest.approx(0.110618181818, rel=1e-10)
 
     def test_large_gain_limit(self):
-        stars = predicted_qbers(0.9, DEFAULTS)
-        assert stars.e_mu_star == pytest.approx(0.02, abs=1e-5)
+        e_mu_star, _ = point_stars(0.9, DEFAULTS)
+        assert e_mu_star == pytest.approx(0.02, abs=1e-5)
 
     def test_bounded_between_channel_error_and_half(self):
         for q in np.logspace(-7, 0, 30):
             for y0 in (0.0, 1e-6, 1e-4, 1e-2):
-                stars = predicted_qbers(float(q), LinkBudgetParams(y0=y0))
-                assert 0.02 - 1e-15 <= stars.e_mu_star <= 0.5 + 1e-15
-                assert 0.02 - 1e-15 <= stars.e_nu_star <= 0.5 + 1e-15
+                p = LinkBudgetParams(y0=y0)
+                stars = point_stars(float(q), p)
+                assert stars == direct_breakdown(float(q), p)[0]
+                assert all(0.02 - 1e-15 <= e <= 0.5 + 1e-15 for e in stars)
 
     def test_zero_gain_rejected(self):
-        with pytest.raises(DomainError):
-            predicted_qbers(0.0, DEFAULTS)
+        with pytest.raises(ValidationError):
+            rate_vs_gain([0.0], DEFAULTS)
 
 
 class TestRateVsGain:
     def test_single_point_matches_direct_evaluation(self):
         q_mu = 2e-3
         point = rate_vs_gain([q_mu], DEFAULTS)[0]
-        stars = predicted_qbers(q_mu, DEFAULTS)
         obs = DecoyObservables(
-            mu=DEFAULTS.mu, nu=DEFAULTS.nu, q_mu=q_mu, e_mu=stars.e_mu_star,
-            q_nu=DEFAULTS.nu / DEFAULTS.mu * q_mu, e_nu=stars.e_nu_star, y0=DEFAULTS.y0,
+            mu=DEFAULTS.mu, nu=DEFAULTS.nu, q_mu=q_mu, e_mu=starred(q_mu, DEFAULTS),
+            q_nu=DEFAULTS.nu / DEFAULTS.mu * q_mu,
+            e_nu=starred(DEFAULTS.nu / DEFAULTS.mu * q_mu, DEFAULTS), y0=DEFAULTS.y0,
         )
         assert point.breakdown == secret_key_rate(obs, DEFAULTS.ec_model)
 
@@ -169,7 +182,7 @@ class TestRateVsGain:
         for p in GRID:
             for q_mu, point in zip(q_grid.tolist(), rate_vs_gain(q_grid, p)):
                 stars, breakdown = direct_breakdown(q_mu, p)
-                assert point == (q_mu, stars.e_mu_star, stars.e_nu_star, breakdown), (p, q_mu)
+                assert point == (q_mu, *stars, breakdown), (p, q_mu)
 
 
 class TestGainThreshold:

@@ -41,6 +41,8 @@ EC = st.builds(ECModel, f=finite(1.0, 10.0), e0=finite(0.0, 1.0))
 def check_breakdown(b) -> None:
     assert all(math.isfinite(getattr(b, name)) for name in FIELDS), b
     assert 0.0 <= b.e1_upper <= 1.0
+    if b.q1_lower == 0.0:  # one zero-gain policy: no single photon certified, errors unbounded
+        assert b.e1_upper == 1.0 and b.e1_clamped, b
     if b.secure:
         assert b.rate > 0.0 and b.q1_lower > 0.0 and b.e1_upper < 0.5, b
 

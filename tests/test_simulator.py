@@ -528,7 +528,7 @@ class TestSessionContracts:
         src = SourceParams(p_mu=0.5, p_nu=0.4, p_vac=0.1)
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, e_ch=0.05, y0=3.77e-4)
         session = run_session(src, ch, 1_000_000, block_size=100_000, master_seed=38)
-        q1 = q1_lower(session.observables)
-        assert q1.value <= session.single_photon.gain
-        e1 = e1_upper(session.observables, q1.value)
-        assert e1.value >= session.single_photon.error_rate
+        q1, _ = q1_lower(session.observables)
+        assert q1 <= session.single_photon.gain
+        e1, _ = e1_upper(session.observables, q1)
+        assert e1 >= session.single_photon.error_rate
