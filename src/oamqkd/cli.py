@@ -212,6 +212,7 @@ def cmd_simulate(args) -> int:
 
     obs = session.observables
     sp = session.single_photon
+    dropped = n_pulses % block_size
     write_key_values(
         out / "observables.txt",
         {
@@ -224,9 +225,9 @@ def cmd_simulate(args) -> int:
             "single_photon_gain": sp.gain,
             "single_photon_error_rate": math.nan if sp.error_rate is None else sp.error_rate,
             "single_photon_sifted": sp.sifted,
+            "dropped_pulses": dropped,
         },
     )
-    dropped = n_pulses % block_size
     if dropped:
         print(f"note: simulated {n_pulses - dropped} of run.pulses={n_pulses} in whole blocks "
               f"of run.block_size={block_size}; the trailing {dropped} were dropped",

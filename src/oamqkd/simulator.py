@@ -4,8 +4,9 @@ Pulses are i.i.d. given their block's scintillation multiplier, so each
 block's counts are drawn at once from their exact multinomial law over 36
 categories (intensity class x photon number x outcome).  A session is one
 ``(n_blocks, 3, 3, 4)`` counts array: the laws of all its blocks come from
-one evaluation of that law over the blocks' multipliers, and
-:class:`BlockSeries` holds the per-block tallies as ``(n_blocks, 3)`` arrays.
+one evaluation of that law over the blocks' multipliers.  The outcome axis is
+decoded once, by :func:`_tallies`, from the counts array: :class:`BlockSeries`
+holds its per-block tallies as ``(n_blocks, 3)`` arrays.
 Each ``(master_seed, stream)`` keys one Philox (counter-based) generator and
 each block draws from its own counter range of that key, so results are
 reproducible and do not depend on how the blocks are scheduled.
@@ -22,6 +23,7 @@ counts its pulses into the same 36 categories and the same
 
 from __future__ import annotations
 
+import operator
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -137,9 +139,13 @@ def _block_streams(master_seed: int, stream: str, block_indices: Sequence[int]):
     gen = np.random.Generator(bits)
     state = bits.state  # counter 0, buffer empty
     counter = state["state"]["counter"] = [0, 0, 0, 0]
-    for b in map(int, block_indices):
+    for index in block_indices:
+        try:
+            b = operator.index(index)  # 1.5 is no block; int() would make it block 1
+        except TypeError:
+            b = -1
         if not 0 <= b < 2**128:
-            raise ValidationError(f"block index must lie in [0, 2**128), got {b}")
+            raise ValidationError(f"block index must be an integer in [0, 2**128), got {index!r}")
         counter[3], counter[2] = divmod(b, 2**64)
         bits.state = state
         yield gen
@@ -250,9 +256,15 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.where(den > 0, num / den, np.nan)
 
 
+def _tallies(outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(sent, detected, sifted, errors)`` of counts on :func:`_block_law`'s outcome axis."""
+    sent = outcomes.sum(axis=-1)
+    return sent, sent - outcomes[..., 0], outcomes[..., 2] + outcomes[..., 3], outcomes[..., 3]
+
+
 @dataclass(eq=False)
 class BlockTally:
-    """Per-class counts of one block: row ``block_index`` of a :class:`BlockSeries`."""
+    """Per-class tallies of one block: row ``block_index`` of a :class:`BlockSeries`."""
 
     block_index: int
     block_size: int
@@ -260,20 +272,12 @@ class BlockTally:
     detected: np.ndarray
     sifted: np.ndarray
     errors: np.ndarray
-
-    @property
-    def gains(self) -> np.ndarray:
-        """detected/sent per class; NaN where nothing was sent."""
-        return _ratio(self.detected, self.sent)
-
-    @property
-    def qbers(self) -> np.ndarray:
-        """errors/sifted per class; NaN where nothing was sifted."""
-        return _ratio(self.errors, self.sifted)
+    gains: np.ndarray
+    qbers: np.ndarray
 
 
 class BlockSeries(Sequence):
-    """Tallies of a session's blocks as ``(n_blocks, 3)`` arrays, block x class.
+    """Tallies of ``(n_blocks, 3, 3, 4)`` counts as ``(n_blocks, 3)`` arrays, block x class.
 
     ``sent``, ``detected``, ``sifted`` and ``errors`` are counts; ``gains``
     (detected/sent) and ``qbers`` (errors/sifted) are NaN where the count
@@ -281,9 +285,8 @@ class BlockSeries(Sequence):
     per block, whose arrays are rows of these.
     """
 
-    def __init__(self, sent: np.ndarray, detected: np.ndarray, sifted: np.ndarray,
-                 errors: np.ndarray) -> None:
-        self.sent, self.detected, self.sifted, self.errors = sent, detected, sifted, errors
+    def __init__(self, counts: np.ndarray) -> None:
+        self.sent, self.detected, self.sifted, self.errors = _tallies(counts.sum(axis=2))
 
     @cached_property
     def gains(self) -> np.ndarray:
@@ -293,21 +296,13 @@ class BlockSeries(Sequence):
     def qbers(self) -> np.ndarray:
         return _ratio(self.errors, self.sifted)
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "BlockSeries":
-        """Series of ``(n_blocks, 3, 3, 4)`` class x photon-number x outcome counts."""
-        per_outcome = counts.sum(axis=2)
-        sent = per_outcome.sum(axis=2)
-        return cls(sent, sent - per_outcome[..., 0], per_outcome[..., 2] + per_outcome[..., 3],
-                   per_outcome[..., 3])
-
     def __len__(self) -> int:
         return self.sent.shape[0]
 
     def __getitem__(self, index: int) -> BlockTally:
         b = range(len(self))[index]  # IndexError past the end stops iteration
         return BlockTally(b, int(self.sent[b].sum()), self.sent[b], self.detected[b],
-                          self.sifted[b], self.errors[b])
+                          self.sifted[b], self.errors[b], self.gains[b], self.qbers[b])
 
 
 def _pulse_counts(pulses: PulseBatch, block_size: int) -> np.ndarray:
@@ -332,7 +327,7 @@ def _pulse_counts(pulses: PulseBatch, block_size: int) -> np.ndarray:
 
 def tally_blocks(pulses: PulseBatch, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockSeries:
     """Per-class tallies of each whole block of consecutive pulses; a partial block is dropped."""
-    return BlockSeries.from_counts(_pulse_counts(pulses, block_size))
+    return BlockSeries(_pulse_counts(pulses, block_size))
 
 
 def estimate_observables(blocks: BlockSeries, src: SourceParams) -> DecoyObservables:
@@ -343,29 +338,22 @@ def estimate_observables(blocks: BlockSeries, src: SourceParams) -> DecoyObserva
     """
     if not len(blocks):
         raise EstimationError("no blocks to estimate from")
-    sent, detected, sifted, errors = (
-        a.sum(axis=0) for a in (blocks.sent, blocks.detected, blocks.sifted, blocks.errors)
-    )
+    sent, detected, sifted, errors = (a.sum(axis=0).tolist() for a in (
+        blocks.sent, blocks.detected, blocks.sifted, blocks.errors))
 
-    if np.any(sent == 0):
-        missing = [cls.name for cls in IntensityClass if sent[int(cls)] == 0]
+    if 0 in sent:
+        missing = [cls.name for cls in IntensityClass if sent[cls] == 0]
         raise EstimationError(f"no pulses sent in class(es): {', '.join(missing)}")
     for cls in (IntensityClass.SIGNAL, IntensityClass.DECOY):
-        if detected[int(cls)] == 0:
+        if detected[cls] == 0:
             raise EstimationError(f"no detections in class {cls.name}; gain not estimable")
-        if sifted[int(cls)] == 0:
+        if sifted[cls] == 0:
             raise EstimationError(f"no sifted bits in class {cls.name}; QBER not estimable")
 
-    i, j, k = (int(c) for c in IntensityClass)
-    return DecoyObservables(
-        mu=src.mu,
-        nu=src.nu,
-        q_mu=float(detected[i] / sent[i]),
-        e_mu=float(errors[i] / sifted[i]),
-        q_nu=float(detected[j] / sent[j]),
-        e_nu=float(errors[j] / sifted[j]),
-        y0=float(detected[k] / sent[k]),
-    )
+    i, j, k = IntensityClass
+    return DecoyObservables(mu=src.mu, nu=src.nu, q_mu=detected[i] / sent[i],
+                            e_mu=errors[i] / sifted[i], q_nu=detected[j] / sent[j],
+                            e_nu=errors[j] / sifted[j], y0=detected[k] / sent[k])
 
 
 @dataclass(frozen=True)
@@ -491,14 +479,14 @@ def run_session(
         )
     counts = simulate_blocks(src, ch, block_size, master_seed, stream,
                              range(n_pulses // block_size))
-    blocks = BlockSeries.from_counts(counts)
+    blocks = BlockSeries(counts)
 
-    one = counts[:, int(IntensityClass.SIGNAL), 1].sum(axis=0)
-    signal_sent = int(counts[:, int(IntensityClass.SIGNAL)].sum())
-    sp_sifted = int(one[2] + one[3])
+    signal_sent = int(blocks.sent[:, IntensityClass.SIGNAL].sum())
+    one = counts[:, IntensityClass.SIGNAL, 1].sum(axis=0)  # single-photon signal pulses
+    _, sp_detected, sp_sifted, sp_errors = map(int, _tallies(one))
     single_photon = SinglePhotonStats(
-        gain=int(one[1:].sum()) / signal_sent if signal_sent else 0.0,
-        error_rate=int(one[3]) / sp_sifted if sp_sifted else None,
+        gain=sp_detected / signal_sent if signal_sent else 0.0,
+        error_rate=sp_errors / sp_sifted if sp_sifted else None,
         sifted=sp_sifted,
     )
     observables = estimate_observables(blocks, src)

@@ -529,7 +529,9 @@ class TestConfigKeys:
         out = tmp_path / "o"
         assert main(["simulate", "--pulses", "5000", "--out", str(out)]) == 0
         assert "simulated 2880 of run.pulses=5000" in capsys.readouterr().err
-        assert read_key_values(out / "observables.txt")["n_blocks"] == "1"
+        written = read_key_values(out / "observables.txt")
+        assert written["n_blocks"] == "1"
+        assert written["dropped_pulses"] == "2120"
 
     def test_int_flags_parse_like_config_values(self, tmp_path):
         """A base prefix works on the flag as in the file, with the same outputs."""

@@ -4,14 +4,21 @@ Every ``DecoyObservables`` the validation accepts either gives a breakdown of
 finite numbers or raises ``DomainError``; observables in the range a weak
 coherent source reaches never raise.  ``secure`` needs a positive rate, a
 positive single-photon gain bound and a single-photon error bound below 1/2.
+
+The simulator's tallies of any non-negative ``(n_blocks, 3, 3, 4)`` counts
+array are ordered, sum over blocks to the tallies of the summed counts, and
+read the same through a block's row as through the series.
 """
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oamqkd import DecoyObservables, DomainError, ECModel, secret_key_rate
+from oamqkd import BlockSeries, DecoyObservables, DomainError, ECModel, secret_key_rate
+from oamqkd.simulator import _tallies
 
 FIELDS = ("q1_lower", "e1_upper", "q0", "leak_ec", "rate")
 
@@ -61,3 +68,26 @@ def test_any_valid_observables_give_finite_fields_or_domain_error(obs, ec):
 @given(PHYSICAL, EC)
 def test_physical_observables_give_finite_fields(obs, ec):
     check_breakdown(secret_key_rate(obs, ec))
+
+
+#: Block x class x photon number x outcome counts; 216 entries of at most 2**54 fit in int64.
+COUNTS = st.integers(0, 6).flatmap(
+    lambda n: hnp.arrays(np.int64, (n, 3, 3, 4), elements=st.integers(0, 2**54)))
+TALLIES = ("sent", "detected", "sifted", "errors")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(COUNTS)
+def test_block_tallies_are_ordered_and_pool_like_the_summed_counts(counts):
+    series = BlockSeries(counts)
+    sent, detected, sifted, errors = (getattr(series, name) for name in TALLIES)
+    assert np.all((errors <= sifted) & (sifted <= detected) & (detected <= sent))
+    assert np.array_equal(sent, counts.sum(axis=(2, 3)))
+    for name, pooled in zip(TALLIES, _tallies(counts.sum(axis=(0, 2)))):
+        assert np.array_equal(getattr(series, name).sum(axis=0), pooled), name
+    assert np.array_equal(np.isnan(series.gains), sent == 0)
+    assert np.array_equal(np.isnan(series.qbers), sifted == 0)
+    for b, tally in enumerate(series):
+        assert tally.block_index == b and tally.block_size == sent[b].sum()
+        for name in (*TALLIES, "gains", "qbers"):
+            assert np.array_equal(getattr(tally, name), getattr(series, name)[b], equal_nan=True)

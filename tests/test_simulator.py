@@ -242,7 +242,7 @@ class TestBlockTallies:
     @staticmethod
     def _signal_block_gains(ch: ChannelParams, n_blocks: int, seed: int) -> np.ndarray:
         counts = simulate_blocks(all_signal_source(), ch, 2880, seed, "simulate", range(n_blocks))
-        return BlockSeries.from_counts(counts).gains[:, IntensityClass.SIGNAL]
+        return BlockSeries(counts).gains[:, IntensityClass.SIGNAL]
 
     def test_stationary_channel_block_gains_chi2_consistent(self):
         ch = ChannelParams(eta_ch=0.10, eta_c=0.35, eta_d=0.60)
@@ -391,7 +391,7 @@ class TestSessionContracts:
         session = run_session(src, ch, 40_000, block_size=4_000, master_seed=35)
         backwards = list(reversed(range(10)))
         counts = simulate_blocks(src, ch, 4_000, 35, "simulate", backwards)
-        out_of_order = BlockSeries.from_counts(counts[::-1])
+        out_of_order = BlockSeries(counts[::-1])
         assert np.array_equal(session.blocks.detected, out_of_order.detected)
         assert np.array_equal(session.blocks.errors, out_of_order.errors)
 
@@ -402,8 +402,7 @@ class TestSessionContracts:
                            block_scintillation_sigma=0.3)
         session = run_session(src, ch, 40_000, block_size=4_000, master_seed=39)
         for b in (7, 2, 9, 0, 5, 1, 8, 3, 6, 4):
-            (tally,) = BlockSeries.from_counts(
-                simulate_blocks(src, ch, 4_000, 39, "simulate", [b]))
+            (tally,) = BlockSeries(simulate_blocks(src, ch, 4_000, 39, "simulate", [b]))
             for name in ("sent", "detected", "sifted", "errors"):
                 assert np.array_equal(getattr(session.blocks[b], name), getattr(tally, name))
 
@@ -414,7 +413,7 @@ class TestSessionContracts:
                            block_scintillation_sigma=sigma)
         session = run_session(src, ch, 48_000, block_size=4_000, master_seed=42)
         order = np.random.default_rng(43).permutation(12).tolist()
-        shuffled = BlockSeries.from_counts(simulate_blocks(src, ch, 4_000, 42, "simulate", order))
+        shuffled = BlockSeries(simulate_blocks(src, ch, 4_000, 42, "simulate", order))
         for name in ("sent", "detected", "sifted", "errors"):
             assert np.array_equal(getattr(shuffled, name), getattr(session.blocks, name)[order])
 
@@ -422,7 +421,7 @@ class TestSessionContracts:
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
         counts = simulate_blocks(src, ch, 3_000, 40, "simulate", range(4))
-        series = BlockSeries.from_counts(counts)
+        series = BlockSeries(counts)
         assert len(series) == 4 and series.sent.shape == (4, 3)
         assert np.array_equal(series.sent, counts.sum(axis=(2, 3)))
         for b, got in enumerate(series):
@@ -444,12 +443,13 @@ class TestSessionContracts:
         got = block_generator(master_seed, "simulate", block_index).integers(0, 2**63, 8)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("master_seed, block_index", [(-1, 0), (0, -1), (0, 2**128)])
+    @pytest.mark.parametrize("master_seed, block_index",
+                             [(-1, 0), (0, -1), (0, 2**128), (0, 1.5)])
     def test_block_generator_refuses_negative_entropy(self, master_seed, block_index):
         with pytest.raises(ValidationError):
             block_generator(master_seed, "simulate", block_index)
 
-    @pytest.mark.parametrize("block_index", [-1, 2**128])
+    @pytest.mark.parametrize("block_index", [-1, 2**128, 1.5])
     def test_simulate_blocks_refuses_indices_outside_the_counter_range(self, block_index):
         with pytest.raises(ValidationError):
             simulate_blocks(SourceParams(), ChannelParams(), 100, 0, "simulate", [0, block_index])
