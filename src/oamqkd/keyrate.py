@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 
+_FALSE_POSITION_STEPS = 100
+
 
 @dataclass(frozen=True)
 class DecoyObservables:
@@ -180,23 +182,36 @@ def single_photon_rate(e_mu: float, ec: ECModel = ECModel()) -> float:
     return 1.0 - binary_entropy(e_mu) - ec.f * binary_entropy(e_mu)
 
 
-def qber_threshold(ec_f: float) -> float:
-    """Largest QBER with a positive single-photon key rate, by bisection.
+def _false_position(f, pos: float, f_pos: float, neg: float, f_neg: float) -> float:
+    """Illinois false position on a bracket with ``f(pos) > 0 >= f(neg)``, in either order.
 
-    Solves ``1 - h2(E) - ec_f * h2(E) = 0`` for ``E`` in (0, 0.5); the
-    returned bracket midpoint is converged far below 1e-6.
+    Probes the secant root, or the midpoint where that leaves the bracket, and
+    halves an end's value once the other end has moved twice in a row.
+    Returns the positive end once the two ends are adjacent floats.
     """
+    moved = 0  # the end the last step moved: +1 positive, -1 non-positive
+    for _ in range(_FALSE_POSITION_STEPS):
+        mid = 0.5 * (pos + neg)
+        if mid in (pos, neg):
+            break
+        x = pos - f_pos * (pos - neg) / (f_pos - f_neg)
+        if not min(pos, neg) < x < max(pos, neg):
+            x = mid
+        fx = f(x)
+        if fx > 0.0:
+            pos, f_pos, f_neg = x, fx, f_neg * 0.5 if moved == 1 else f_neg
+        else:
+            neg, f_neg, f_pos = x, fx, f_pos * 0.5 if moved == -1 else f_pos
+        moved = 1 if fx > 0.0 else -1
+    return pos
+
+
+def qber_threshold(ec_f: float) -> float:
+    """Largest QBER with a positive single-photon key rate, by :func:`_false_position`."""
     if ec_f < 1.0:
         raise DomainError(f"error-correction efficiency must be >= 1, got {ec_f}")
 
     def excess(e: float) -> float:
         return 1.0 - (1.0 + ec_f) * binary_entropy(e)
 
-    lo, hi = 1e-15, 0.5
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _false_position(excess, 1e-15, excess(1e-15), 0.5, excess(0.5))

@@ -7,7 +7,8 @@ expected signal/decoy error rates at a hypothetical signal gain ``Q_mu`` are
 
 with the decoy gain tied to the signal gain by ``Q_nu = (nu/mu) Q_mu``.
 Feeding these into the decoy key-rate bounds yields the rate-versus-gain
-curve and the smallest gain that still produces a positive rate.
+curve and its threshold: a downward decade scan from gain 1, then Illinois
+false position to adjacent floats, gives the smallest probed gain with a positive rate.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ThresholdUndefinedError, ValidationError
-from .keyrate import DecoyObservables, ECModel, KeyRateBreakdown, secret_key_rate
+from .keyrate import DecoyObservables, ECModel, KeyRateBreakdown, _false_position, secret_key_rate
 from .simulator import SourceParams
 
 _SCAN_FLOOR = 1e-7
 _SCAN_RATIO = 10.0
-_BISECTIONS = 100
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,11 @@ def gain_threshold(p: LinkBudgetParams) -> float:
     """Smallest signal gain with a positive expected key rate.
 
     Scans gains downward from 1 by factors of 10 until the rate turns
-    non-positive, then bisects the bracketing decade.  The scan descends so
-    that it brackets the physically meaningful (uppermost) zero crossing; at
-    gains below the dark floor the vacuum term inflates the formula rate
-    spuriously.
+    non-positive, then runs Illinois false position on that decade down to
+    adjacent floats and returns the upper: the smallest probed gain with a
+    positive rate.  The scan descends to bracket the physically meaningful
+    (uppermost) zero crossing; below the dark floor the vacuum term inflates
+    the formula rate spuriously.
     """
 
     ec = p.ec_model
@@ -114,26 +115,18 @@ def gain_threshold(p: LinkBudgetParams) -> float:
     def rate_at(q: float) -> float:
         return secret_key_rate(_observables(q, p), ec).rate
 
-    hi = 1.0
-    if rate_at(hi) <= 0.0:
+    hi, f_hi = 1.0, rate_at(1.0)
+    if f_hi <= 0.0:
         raise ThresholdUndefinedError("rate is non-positive over the whole scanned range")
     lo = hi / _SCAN_RATIO
-    while rate_at(lo) > 0.0:
-        hi = lo
+    while (f_lo := rate_at(lo)) > 0.0:
+        hi, f_hi = lo, f_lo
         lo /= _SCAN_RATIO
         if lo < _SCAN_FLOOR:
             raise ThresholdUndefinedError(
                 f"rate stays positive down to gain {hi}; no threshold above {_SCAN_FLOOR}"
             )
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: further steps would not move the bracket
-            break
-        if rate_at(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _false_position(rate_at, hi, f_hi, lo, f_lo)
 
 
 def loss_margin_db(measured_gain: float, g_star: float) -> float:

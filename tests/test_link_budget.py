@@ -3,9 +3,12 @@
 import dataclasses
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
+
+from helpers import direct_breakdown, direct_rate, reference_threshold, searched_threshold, starred
 
 from oamqkd import (
     DecoyObservables,
@@ -33,64 +36,10 @@ GRID = [
 ] + [LinkBudgetParams(f=1.2), LinkBudgetParams(f=1.5, e_ch=0.01)]
 
 
-def starred(q, p):
-    """``E* = 0.5 w + E_ch (1 - w)`` with ``w = min(1, Y0/Q)``: the expected QBER at gain q."""
-    w = min(1.0, p.y0 / q)
-    return 0.5 * w + p.e_ch * (1.0 - w)
-
-
-def direct_breakdown(q_mu, p):
-    """E* -> DecoyObservables -> secret_key_rate, spelled out: ((E*_mu, E*_nu), breakdown)."""
-    q_nu = p.nu / p.mu * q_mu
-    stars = (starred(q_mu, p), starred(q_nu, p))
-    obs = DecoyObservables(mu=p.mu, nu=p.nu, q_mu=q_mu, e_mu=stars[0], q_nu=q_nu,
-                           e_nu=stars[1], y0=p.y0)
-    return stars, secret_key_rate(obs, ECModel(f=p.f))
-
-
 def point_stars(q_mu, p):
     """(e_mu_star, e_nu_star) of the rate_vs_gain point at q_mu."""
     point = rate_vs_gain([q_mu], p)[0]
     return point.e_mu_star, point.e_nu_star
-
-
-def reference_threshold(p):
-    """The decade scan, then a fixed 100 bisection steps: (g*, moving steps, rate calls).
-
-    Rate calls are the scan's plus one per step that moves the bracket: the
-    calls of a search that stops once the bracket stops moving.
-    """
-
-    def rate(q):
-        return direct_breakdown(q, p)[1].rate
-
-    hi, lo, evals = 1.0, 0.1, 2
-    while rate(lo) > 0.0:
-        hi, lo, evals = lo, lo / 10.0, evals + 1
-    moving_steps = 0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        moving_steps += mid not in (lo, hi)
-        if rate(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), moving_steps, evals + moving_steps
-
-
-def count_rate_calls(monkeypatch):
-    """Count the calls gain_threshold makes through link_budget's secret_key_rate."""
-    import oamqkd.link_budget as lb
-
-    calls = []
-    counted = lb.secret_key_rate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return counted(*args, **kwargs)
-
-    monkeypatch.setattr(lb, "secret_key_rate", counting)
-    return calls
 
 
 class TestDarkYield:
@@ -191,20 +140,22 @@ class TestGainThreshold:
         assert g_star == pytest.approx(9.35497389725e-5, rel=1e-9)
         assert 5e-5 <= g_star <= 2e-4
 
-    def test_stops_once_the_bracket_stops_moving(self, monkeypatch):
-        reference, moving_steps, rate_calls = reference_threshold(DEFAULTS)
-        calls = count_rate_calls(monkeypatch)
-        assert gain_threshold(DEFAULTS) == reference
-        assert len(calls) == rate_calls
-        assert 100 - moving_steps == 47
+    def test_stops_once_the_bracket_stops_moving(self):
+        g_star, rate_calls = searched_threshold(DEFAULTS)
+        below = math.nextafter(g_star, 0.0)
+        assert direct_rate(g_star, DEFAULTS) > 0.0 >= direct_rate(below, DEFAULTS)
+        assert rate_calls <= 18
 
-    def test_every_grid_threshold_equals_the_reference_bisection(self, monkeypatch):
-        references = [reference_threshold(p) for p in GRID]
-        calls = count_rate_calls(monkeypatch)
-        for p, (reference, _, rate_calls) in zip(GRID, references):
-            calls.clear()
-            assert gain_threshold(p) == reference, p
-            assert len(calls) == rate_calls, p
+    def test_every_grid_threshold_equals_the_reference_bisection(self):
+        searched_calls = []
+        for p in GRID:
+            reference, reference_calls = reference_threshold(p)
+            g_star, rate_calls = searched_threshold(p)
+            assert g_star == pytest.approx(reference, rel=1e-12), p
+            assert direct_rate(g_star, p) > 0.0 >= direct_rate(math.nextafter(g_star, 0.0), p), p
+            assert rate_calls <= reference_calls, p
+            searched_calls.append(rate_calls)
+        assert statistics.median(searched_calls) <= 20
 
     def test_rate_vanishes_at_threshold(self):
         g_star = gain_threshold(DEFAULTS)

@@ -8,6 +8,10 @@ positive single-photon gain bound and a single-photon error bound below 1/2.
 The simulator's tallies of any non-negative ``(n_blocks, 3, 3, 4)`` counts
 array are ordered, sum over blocks to the tallies of the summed counts, and
 read the same through a block's row as through the series.
+
+The gain threshold search finds the reference bisection's threshold in no
+more rate calls: a sign change of the expected rate, with a positive rate at
+every gain probed above it.
 """
 
 import math
@@ -17,7 +21,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oamqkd import BlockSeries, DecoyObservables, DomainError, ECModel, secret_key_rate
+from helpers import direct_rate, reference_threshold, searched_threshold
+
+from oamqkd import (
+    BlockSeries,
+    DecoyObservables,
+    DomainError,
+    ECModel,
+    LinkBudgetParams,
+    secret_key_rate,
+)
 from oamqkd.simulator import _tallies
 
 FIELDS = ("q1_lower", "e1_upper", "q0", "leak_ec", "rate")
@@ -91,3 +104,26 @@ def test_block_tallies_are_ordered_and_pool_like_the_summed_counts(counts):
         assert tally.block_index == b and tally.block_size == sent[b].sum()
         for name in (*TALLIES, "gains", "qbers"):
             assert np.array_equal(getattr(tally, name), getattr(series, name)[b], equal_nan=True)
+
+
+#: mu in [0.2, 1] with nu below 0.9 mu, e_ch up to 8%, 1-3,000 Hz dark counts, f in [1, 1.6].
+BUDGETS = st.builds(
+    lambda mu, ratio, e_ch, dark_rate, f: LinkBudgetParams(
+        mu=mu, nu=ratio * mu, e_ch=e_ch, dark_rate=dark_rate, f=f),
+    finite(0.2, 1.0), finite(1e-3, 0.9, exclude_max=True), finite(0.0, 0.08),
+    finite(1.0, 3000.0), finite(1.0, 1.6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(BUDGETS)
+def test_gain_threshold_is_the_reference_sign_change_in_no_more_rate_calls(p):
+    reference, reference_calls = reference_threshold(p)
+    g_star, rate_calls = searched_threshold(p)
+    assert rate_calls <= reference_calls
+    assert (g_star is None) == (reference is None)
+    if g_star is None:
+        return
+    assert math.isclose(g_star, reference, rel_tol=1e-11)
+    assert direct_rate(g_star, p) > 0.0 >= direct_rate(math.nextafter(g_star, 0.0), p)
+    for q in np.logspace(math.log10(g_star * (1.0 + 1e-6)), 0.0, 25).tolist():
+        assert direct_rate(q, p) > 0.0, q
