@@ -45,8 +45,6 @@ OBSERVABLE_FIELDS = ("mu", "nu", "q_mu", "e_mu", "q_nu", "e_nu", "y0")
 #: Config sections whose keys are the fields of one dataclass.
 SECTIONS = {"source": sim.SourceParams, "channel": sim.ChannelParams, "ec": ECModel,
             "spot": turb.SpotModel, "budget": lb.LinkBudgetParams}
-#: The config key of a dataclass field, where it is not ``section.field``.
-_RENAMED = {"channel.block_scintillation_sigma": "channel.scintillation_sigma"}
 #: Keys that no dataclass holds, with their defaults.
 PLAIN_DEFAULTS = {
     "run.pulses": 1_000_000, "run.block_size": sim.DEFAULT_BLOCK_SIZE,
@@ -60,12 +58,8 @@ _POSITIVE = {"run.pulses", "run.block_size", "spot.n_frames", "sweep.points",
              "geometry.length_m", "geometry.wavelength_nm", "geometry.beam_radius_m"}
 
 
-def _key(section: str, field: str) -> str:
-    return _RENAMED.get(f"{section}.{field}", f"{section}.{field}")
-
-
 #: Every config key with its default; ``None`` leaves the dataclass to derive the value.
-DEFAULTS = {_key(section, f.name): f.default
+DEFAULTS = {f"{section}.{f.name}": f.default
             for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)}
 DEFAULTS.update(PLAIN_DEFAULTS)
 
@@ -148,7 +142,7 @@ def _resolve(args) -> dict:
 def _build(section: str, values: dict):
     """The section's dataclass, built from resolved values."""
     cls = SECTIONS[section]
-    return cls(**{f.name: values[_key(section, f.name)] for f in dataclasses.fields(cls)})
+    return cls(**{f.name: values[f"{section}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,9 +188,7 @@ def cmd_simulate(args) -> int:
     values = _resolve(args)
     src, ch = _build("source", values), _build("channel", values)
     n_pulses, block_size = values["run.pulses"], values["run.block_size"]
-    session = sim.run_session(
-        src, ch, n_pulses, block_size=block_size, master_seed=args.seed, stream="simulate"
-    )
+    session = sim.run_session(src, ch, n_pulses, block_size=block_size, master_seed=args.seed)
 
     out = Path(args.out)
     blocks = session.blocks

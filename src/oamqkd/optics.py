@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import singledispatch
 
 import numpy as np
 
@@ -176,33 +175,22 @@ def embed_hybrid(h: HybridState) -> ProductState:
     return ProductState(np.array([h.amp_rl, 0.0, 0.0, h.amp_lr]))
 
 
-@singledispatch
 def rotate_frame(state, theta: float):
     """Apply a transverse reference-frame rotation by ``theta`` radians.
 
     Product-state amplitudes pick up ``exp(-i*m*theta)`` phases with ``m`` the
     total angular-momentum index of each basis element.  For a bare
     polarization qubit the OAM factor is held fixed, so the restriction uses
-    the spin index alone.  Hybrid qubits live entirely at ``m = 0`` and come
-    back unchanged.
+    the spin index alone.  A bare hybrid qubit is refused: rotate
+    :func:`embed_hybrid` of it, so that its invariance follows from the phases
+    of its ``m = 0`` elements instead of being assumed.
     """
+    if isinstance(state, ProductState):
+        return ProductState(state.amps * np.exp(-1j * _PRODUCT_M * theta))
+    if isinstance(state, PolarizationState):
+        phases = np.exp(-1j * _SPIN * theta)
+        return PolarizationState(state.amp_r * phases[0], state.amp_l * phases[1])
     raise TypeError(f"cannot rotate object of type {type(state).__name__}")
-
-
-@rotate_frame.register
-def _(state: ProductState, theta: float) -> ProductState:
-    return ProductState(state.amps * np.exp(-1j * _PRODUCT_M * theta))
-
-
-@rotate_frame.register
-def _(state: PolarizationState, theta: float) -> PolarizationState:
-    phases = np.exp(-1j * _SPIN * theta)
-    return PolarizationState(state.amp_r * phases[0], state.amp_l * phases[1])
-
-
-@rotate_frame.register
-def _(state: HybridState, theta: float) -> HybridState:
-    return state
 
 
 def measure_probabilities(state, b: Basis) -> tuple[float, float]:

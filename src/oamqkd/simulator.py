@@ -7,9 +7,9 @@ categories (intensity class x photon number x outcome).  A session is one
 one evaluation of that law over the blocks' multipliers.  The outcome axis is
 decoded once, by :func:`_tallies`, from the counts array: :class:`BlockSeries`
 holds its per-block tallies as ``(n_blocks, 3)`` arrays.
-Each ``(master_seed, stream)`` keys one Philox (counter-based) generator and
-each block draws from its own counter range of that key, so results are
-reproducible and do not depend on how the blocks are scheduled.
+Each seed keys one Philox (counter-based) generator and block ``b`` draws
+from counter range ``b`` of that key, so a session is reproducible and is a
+prefix of any longer session of the same seed.
 
 Detection outcomes follow the exact single-qubit Born probabilities from
 :mod:`oamqkd.optics`: the transmitted state is frame-rotated by the channel
@@ -90,7 +90,7 @@ class ChannelParams:
     y0: float = 0.0
     theta: float = 0.0
     encoding: Encoding = Encoding.HYBRID
-    block_scintillation_sigma: float = 0.0
+    scintillation_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         encodings = [e.value for e in Encoding]
@@ -103,8 +103,8 @@ class ChannelParams:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         if not np.isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta}")
-        if not 0.0 <= self.block_scintillation_sigma < np.inf:
-            raise ValidationError("block_scintillation_sigma must be non-negative and finite")
+        if not 0.0 <= self.scintillation_sigma < np.inf:
+            raise ValidationError("scintillation_sigma must be non-negative and finite")
 
     @property
     def eta(self) -> float:
@@ -131,34 +131,43 @@ class PulseBatch:
         return self.intensity_class.shape[0]
 
 
-def _block_streams(master_seed: int, stream: str, block_indices: Sequence[int]):
-    """Yield :func:`block_generator` of each block in turn: one generator, moved each time."""
+#: Second entropy word of every seed's key, kept so that each seed's data files stay the same.
+_KEY_TAG = zlib.crc32(b"simulate")
+
+
+def _session_key(master_seed: int) -> np.random.Philox:
     if master_seed < 0:
         raise ValidationError(f"seed must be non-negative, got {master_seed}")
-    bits = np.random.Philox(np.random.SeedSequence([master_seed, zlib.crc32(stream.encode())]))
+    return np.random.Philox(np.random.SeedSequence([master_seed, _KEY_TAG]))
+
+
+def _block_streams(master_seed: int, n_blocks: int):
+    """Yield :func:`block_generator` of blocks 0 .. n_blocks - 1: one generator, moved each time."""
+    bits = _session_key(master_seed)
     gen = np.random.Generator(bits)
     state = bits.state  # counter 0, buffer empty
     counter = state["state"]["counter"] = [0, 0, 0, 0]
-    for index in block_indices:
-        try:
-            b = operator.index(index)  # 1.5 is no block; int() would make it block 1
-        except TypeError:
-            b = -1
-        if not 0 <= b < 2**128:
-            raise ValidationError(f"block index must be an integer in [0, 2**128), got {index!r}")
-        counter[3], counter[2] = divmod(b, 2**64)
+    for b in range(n_blocks):
+        counter[2] = b
         bits.state = state
         yield gen
 
 
-def block_generator(master_seed: int, stream: str, block_index: int) -> np.random.Generator:
-    """The generator of one block of one named stream.
+def block_generator(master_seed: int, block_index: int) -> np.random.Generator:
+    """The generator of block ``block_index`` of the seed's session.
 
-    Its key comes from ``SeedSequence([master_seed, crc32(stream)])``; block
-    ``b`` starts at counter ``(0, 0, b mod 2**64, b >> 64)`` of that key, which
-    is ``Philox.jumped(b)``, so blocks own disjoint ranges of 2**128 counters.
+    Its key comes from ``SeedSequence([master_seed, crc32(b"simulate")])``;
+    block ``b`` reads counter range ``b`` of that key, which is
+    ``Philox.jumped(b)``, so blocks own disjoint ranges of 2**128 counters.
     """
-    return next(_block_streams(master_seed, stream, [block_index]))
+    key = _session_key(master_seed)
+    try:
+        b = operator.index(block_index)  # 1.5 is no block; int() would make it block 1
+    except TypeError:
+        b = -1
+    if not 0 <= b < 2**128:
+        raise ValidationError(f"block index must be an integer in [0, 2**128), got {block_index!r}")
+    return np.random.Generator(key.jumped(b))
 
 
 def generate_pulses(n: int, src: SourceParams, rng) -> PulseBatch:
@@ -428,31 +437,24 @@ def _stationary_law(src: SourceParams, ch: ChannelParams) -> np.ndarray:
 
 
 def simulate_blocks(
-    src: SourceParams,
-    ch: ChannelParams,
-    block_size: int,
-    master_seed: int,
-    stream: str,
-    block_indices: Sequence[int],
+    src: SourceParams, ch: ChannelParams, block_size: int, master_seed: int, n_blocks: int
 ) -> np.ndarray:
-    """Counts of the given blocks, shaped ``(len(block_indices), 3, 3, 4)``.
+    """Counts of blocks ``0 .. n_blocks - 1``, shaped ``(n_blocks, 3, 3, 4)``.
 
     Each block draws from :func:`block_generator`'s stream for it, in this
     order: its scintillation multiplier (only when sigma > 0), then its counts
-    from :func:`_block_law`.  A block's counts are those :func:`run_session`
-    draws for it, whatever the other indices and their order.
+    from :func:`_block_law`.  So these are the first rows of any longer run.
     """
-    sigma = ch.block_scintillation_sigma
+    sigma = ch.scintillation_sigma
     if sigma > 0.0:
         # mean-corrected log-normal: E[multiplier] = 1
-        normals = np.array([gen.standard_normal()
-                            for gen in _block_streams(master_seed, stream, block_indices)])
+        normals = np.array([gen.standard_normal() for gen in _block_streams(master_seed, n_blocks)])
         multipliers = np.exp(sigma * normals - 0.5 * sigma * sigma)
         laws = _block_law(src, ch, multipliers).reshape(-1, 36)
     else:
         laws = repeat(_stationary_law(src, ch))
-    counts = np.empty((len(block_indices), 36), dtype=np.int64)
-    for row, law, gen in zip(counts, laws, _block_streams(master_seed, stream, block_indices)):
+    counts = np.empty((n_blocks, 36), dtype=np.int64)
+    for row, law, gen in zip(counts, laws, _block_streams(master_seed, n_blocks)):
         if sigma > 0.0:
             gen.standard_normal()  # the multiplier again, to reach the block's counts
         row[:] = gen.multinomial(block_size, law)
@@ -465,20 +467,18 @@ def run_session(
     n_pulses: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
     master_seed: int = 0,
-    stream: str = "simulate",
 ) -> SessionTally:
     """Simulate a whole session block by block and pool the statistics.
 
     Only whole blocks are simulated (``n_pulses // block_size`` of them).
-    Identical arguments give bit-identical results regardless of block
-    scheduling, because each block owns its own counter range of the stream.
+    Identical arguments give bit-identical results, and a shorter session's
+    blocks are the first blocks of a longer one.
     """
     if not 0 < block_size <= n_pulses:
         raise ValidationError(
             f"need 0 < block_size <= n_pulses, got block_size={block_size}, n_pulses={n_pulses}"
         )
-    counts = simulate_blocks(src, ch, block_size, master_seed, stream,
-                             range(n_pulses // block_size))
+    counts = simulate_blocks(src, ch, block_size, master_seed, n_pulses // block_size)
     blocks = BlockSeries(counts)
 
     signal_sent = int(blocks.sent[:, IntensityClass.SIGNAL].sum())

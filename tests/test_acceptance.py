@@ -143,7 +143,7 @@ def _signal_qber(theta_deg: float, encoding: Encoding, seed: int) -> tuple[float
     src = SourceParams(p_mu=1.0, p_nu=0.0, p_vac=0.0)
     ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, e_ch=0.0, y0=0.0,
                        theta=math.radians(theta_deg), encoding=encoding)
-    blocks = BlockSeries(simulate_blocks(src, ch, 50_000, seed, "simulate", range(20)))
+    blocks = BlockSeries(simulate_blocks(src, ch, 50_000, seed, 20))
     sifted = int(blocks.sifted[:, IntensityClass.SIGNAL].sum())
     errors = int(blocks.errors[:, IntensityClass.SIGNAL].sum())
     return errors / sifted, sifted
@@ -199,8 +199,8 @@ def test_criterion_7_decoy_bound_validity():
 def _block_gains(sigma: float, n_blocks: int, seed: int) -> np.ndarray:
     src = SourceParams(p_mu=1.0, p_nu=0.0, p_vac=0.0)
     ch = ChannelParams(eta_ch=0.10, eta_c=0.35, eta_d=0.60,
-                       block_scintillation_sigma=sigma)
-    counts = simulate_blocks(src, ch, 2880, seed, "simulate", range(n_blocks))
+                       scintillation_sigma=sigma)
+    counts = simulate_blocks(src, ch, 2880, seed, n_blocks)
     return BlockSeries(counts).gains[:, IntensityClass.SIGNAL]
 
 

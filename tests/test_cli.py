@@ -455,6 +455,38 @@ def test_flag_value_exits_cleanly(tmp_path, command, base, flag, value):
         assert rc == 1
 
 
+OBSERVABLE_HEADER = "mu,nu,q_mu,e_mu,q_nu,e_nu,y0\n"
+#: Invocations refused with exit 1: (id, argv, files to write first, what the message names).
+#: ``{d}`` is the test's directory.
+REFUSALS = [
+    ("negative-seed", ["simulate", "--seed", "-1"], {}, "--seed"),
+    ("seed-above-64-bits", ["simulate", "--seed", str(2**64)], {}, "--seed"),
+    ("missing-observables", ["keyrate", "--observables", "{d}/none.txt"], {}, "{d}/none.txt"),
+    ("missing-csv", ["keyrate", "--csv", "{d}/none.csv"], {}, "{d}/none.csv"),
+    ("empty-csv", ["keyrate", "--csv", "{d}/obs.csv"], {"obs.csv": ""}, "{d}/obs.csv"),
+    ("header-only-csv", ["keyrate", "--csv", "{d}/obs.csv"], {"obs.csv": OBSERVABLE_HEADER},
+     "{d}/obs.csv"),
+    ("non-numeric-q-mu", ["keyrate", "--csv", "{d}/obs.csv"],
+     {"obs.csv": OBSERVABLE_HEADER + "0.623,0.165,abc,0.0381,4.77e-3,0.0763,3.77e-4\n"},
+     "{d}/obs.csv"),
+    ("missing-frame-directory", ["turbulence", "--frames", "{d}/none"], {}, "{d}/none"),
+    ("one-frame-file", ["turbulence", "--frames", "{d}/frames"],
+     {"frames/frame_0.txt": "1 1 1\n1\n"}, "{d}/frames"),
+]
+
+
+@pytest.mark.parametrize("argv, files, named", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refused_input_exits_1_naming_the_flag_or_path(tmp_path, capsys, argv, files, named):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert named.format(d=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("key", ["channel.eta_chh", "source.pulse_rate",
                                      "source.effective_bitrate"])

@@ -87,6 +87,11 @@ def test_rotation_leaves_embedded_hybrid_states_unchanged():
             assert np.max(np.abs(rotated.amps - prod.amps)) < TOL
 
 
+def test_bare_hybrid_qubit_is_rotated_only_through_its_embedding():
+    with pytest.raises(TypeError, match="HybridState"):
+        rotate_frame(HybridState(1.0, 0.0), 0.3)
+
+
 def test_rotation_by_quarter_turn_maps_h_to_v():
     h_state = basis("X", Encoding.POLARIZATION).state(0)
     rotated = rotate_frame(h_state, math.pi / 2.0)

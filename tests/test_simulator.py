@@ -136,7 +136,7 @@ class TestTransmit:
         frac = errors.sum() / batch.detected.sum()
         assert abs(frac - 0.5) < _binomial_5sigma(0.5, int(batch.detected.sum()))
 
-    @pytest.mark.parametrize("name", ["theta", "block_scintillation_sigma"])
+    @pytest.mark.parametrize("name", ["theta", "scintillation_sigma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_channel_params_rejected(self, name, value):
         with pytest.raises(ValidationError):
@@ -241,7 +241,7 @@ class TestBlockTallies:
 
     @staticmethod
     def _signal_block_gains(ch: ChannelParams, n_blocks: int, seed: int) -> np.ndarray:
-        counts = simulate_blocks(all_signal_source(), ch, 2880, seed, "simulate", range(n_blocks))
+        counts = simulate_blocks(all_signal_source(), ch, 2880, seed, n_blocks)
         return BlockSeries(counts).gains[:, IntensityClass.SIGNAL]
 
     def test_stationary_channel_block_gains_chi2_consistent(self):
@@ -254,7 +254,7 @@ class TestBlockTallies:
 
     def test_scintillation_inflates_block_gain_variance(self):
         ch = ChannelParams(eta_ch=0.10, eta_c=0.35, eta_d=0.60,
-                           block_scintillation_sigma=0.3)
+                           scintillation_sigma=0.3)
         gains = self._signal_block_gains(ch, 300, seed=25)
         q_hat = gains.mean()
         floor = q_hat * (1 - q_hat) / 2880
@@ -275,7 +275,7 @@ class TestBlockLaw:
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.5, eta_c=1.0, eta_d=1.0, e_ch=0.03, y0=0.05,
                            theta=math.radians(15.0), encoding=encoding,
-                           block_scintillation_sigma=sigma)
+                           scintillation_sigma=sigma)
         rng = np.random.default_rng(60)
         observed = np.zeros(36)
         expected = np.zeros(36)
@@ -307,7 +307,7 @@ class TestBlockLaw:
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.5, eta_c=1.0, eta_d=1.0, e_ch=0.03, y0=0.05,
                            theta=math.radians(15.0), encoding=Encoding.POLARIZATION,
-                           block_scintillation_sigma=0.3)
+                           scintillation_sigma=0.3)
         normals = np.random.default_rng(61).standard_normal(320)
         multipliers = np.concatenate([np.exp(0.3 * normals - 0.045), [1e-9, 1.0, 1e3]])
         laws = _block_law(src, ch, multipliers)
@@ -374,7 +374,7 @@ class TestSessionContracts:
     def test_bitwise_determinism(self):
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
-                           block_scintillation_sigma=0.2)
+                           scintillation_sigma=0.2)
         a = run_session(src, ch, 100_000, master_seed=33)
         b = run_session(src, ch, 100_000, master_seed=33)
         assert a.observables == b.observables
@@ -384,43 +384,23 @@ class TestSessionContracts:
         c = run_session(src, ch, 100_000, master_seed=34)
         assert c.observables != a.observables
 
-    def test_block_schedule_invariance(self):
-        """Simulating blocks out of order reproduces the in-order session."""
-        src = SourceParams()
-        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
-        session = run_session(src, ch, 40_000, block_size=4_000, master_seed=35)
-        backwards = list(reversed(range(10)))
-        counts = simulate_blocks(src, ch, 4_000, 35, "simulate", backwards)
-        out_of_order = BlockSeries(counts[::-1])
-        assert np.array_equal(session.blocks.detected, out_of_order.detected)
-        assert np.array_equal(session.blocks.errors, out_of_order.errors)
-
-    def test_block_schedule_invariance_with_scintillation(self):
-        """Each block's multiplier comes from its own stream, not from the schedule."""
-        src = SourceParams()
-        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
-                           block_scintillation_sigma=0.3)
-        session = run_session(src, ch, 40_000, block_size=4_000, master_seed=39)
-        for b in (7, 2, 9, 0, 5, 1, 8, 3, 6, 4):
-            (tally,) = BlockSeries(simulate_blocks(src, ch, 4_000, 39, "simulate", [b]))
-            for name in ("sent", "detected", "sifted", "errors"):
-                assert np.array_equal(getattr(session.blocks[b], name), getattr(tally, name))
-
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_shuffled_indices_give_the_session_rows(self, sigma):
+    def test_a_shorter_session_is_a_prefix_of_a_longer_one(self, sigma):
+        """Block b reads counter range b of the seed's key, whatever the session's length."""
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
-                           block_scintillation_sigma=sigma)
-        session = run_session(src, ch, 48_000, block_size=4_000, master_seed=42)
-        order = np.random.default_rng(43).permutation(12).tolist()
-        shuffled = BlockSeries(simulate_blocks(src, ch, 4_000, 42, "simulate", order))
-        for name in ("sent", "detected", "sifted", "errors"):
-            assert np.array_equal(getattr(shuffled, name), getattr(session.blocks, name)[order])
+                           scintillation_sigma=sigma)
+        long = run_session(src, ch, 48_000, block_size=4_000, master_seed=42)
+        for n_blocks in (1, 5, 11):
+            short = run_session(src, ch, n_blocks * 4_000, block_size=4_000, master_seed=42)
+            for name in ("sent", "detected", "sifted", "errors"):
+                assert np.array_equal(getattr(short.blocks, name),
+                                      getattr(long.blocks, name)[:n_blocks])
 
     def test_block_series_rows_are_the_block_tallies(self):
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
-        counts = simulate_blocks(src, ch, 3_000, 40, "simulate", range(4))
+        counts = simulate_blocks(src, ch, 3_000, 40, 4)
         series = BlockSeries(counts)
         assert len(series) == 4 and series.sent.shape == (4, 3)
         assert np.array_equal(series.sent, counts.sum(axis=(2, 3)))
@@ -436,34 +416,28 @@ class TestSessionContracts:
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
     @pytest.mark.parametrize("block_index", [0, 346, 2**32, 2**64 + 1])
     def test_block_generator_matches_list_entropy(self, master_seed, block_index):
-        """One key per stream from the list entropy; block b is that key jumped b times."""
+        """One key per seed from the list entropy; block b is that key jumped b times."""
         tag = zlib.crc32(b"simulate")
         key = np.random.Philox(np.random.SeedSequence([master_seed, tag]))
         want = np.random.Generator(key.jumped(block_index)).integers(0, 2**63, 8)
-        got = block_generator(master_seed, "simulate", block_index).integers(0, 2**63, 8)
+        got = block_generator(master_seed, block_index).integers(0, 2**63, 8)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("master_seed, block_index",
                              [(-1, 0), (0, -1), (0, 2**128), (0, 1.5)])
     def test_block_generator_refuses_negative_entropy(self, master_seed, block_index):
         with pytest.raises(ValidationError):
-            block_generator(master_seed, "simulate", block_index)
-
-    @pytest.mark.parametrize("block_index", [-1, 2**128, 1.5])
-    def test_simulate_blocks_refuses_indices_outside_the_counter_range(self, block_index):
-        with pytest.raises(ValidationError):
-            simulate_blocks(SourceParams(), ChannelParams(), 100, 0, "simulate", [0, block_index])
+            block_generator(master_seed, block_index)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_simulate_blocks_draws_each_block_from_its_generator(self, sigma):
         """A block's normal (sigma > 0), then its counts, from block_generator's stream."""
         src = SourceParams()
         ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
-                           block_scintillation_sigma=sigma)
-        indices = [0, 5, 3, 2**64 + 2]
-        counts = simulate_blocks(src, ch, 4_000, 44, "simulate", indices)
-        for row, b in zip(counts, indices):
-            gen = block_generator(44, "simulate", b)
+                           scintillation_sigma=sigma)
+        counts = simulate_blocks(src, ch, 4_000, 44, 6)
+        for b, row in enumerate(counts):
+            gen = block_generator(44, b)
             multiplier = 1.0
             if sigma > 0.0:
                 multiplier = np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma)
@@ -471,11 +445,9 @@ class TestSessionContracts:
             assert np.array_equal(row.ravel(), gen.multinomial(4_000, law))
 
     def test_distinct_streams_are_independent(self):
-        a = block_generator(1, "simulate", 0).random(4)
-        b = block_generator(1, "simulate", 1).random(4)
-        c = block_generator(1, "other", 0).random(4)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        draws = [block_generator(1, b).random(4) for b in (0, 1, 2**64 + 2)]
+        draws.append(block_generator(2, 0).random(4))
+        assert len({tuple(d) for d in draws}) == len(draws)
 
     def test_gain_monotone_in_efficiencies_and_intensity(self):
         src = SourceParams()
