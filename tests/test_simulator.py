@@ -37,6 +37,18 @@ from oamqkd.simulator import (
 LOSSLESS = dict(eta_ch=1.0, eta_c=1.0, eta_d=1.0)
 
 
+def _one_block(src: SourceParams, ch: ChannelParams, block_size: int, master_seed: int,
+               block_index: int) -> np.ndarray:
+    """Counts of one block drawn alone from its generator: normal (sigma > 0), then counts."""
+    gen = block_generator(master_seed, block_index)
+    sigma = ch.scintillation_sigma
+    multiplier = 1.0
+    if sigma > 0.0:
+        multiplier = np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma)
+    law = _block_law(src, ch, multiplier).ravel()
+    return gen.multinomial(block_size, law).reshape(3, 3, 4)
+
+
 def _binomial_5sigma(p: float, n: int) -> float:
     return 5.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
@@ -384,6 +396,39 @@ class TestSessionContracts:
         c = run_session(src, ch, 100_000, master_seed=34)
         assert c.observables != a.observables
 
+    def test_block_schedule_invariance(self):
+        """Simulating blocks out of order reproduces the in-order session."""
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4)
+        session = run_session(src, ch, 40_000, block_size=4_000, master_seed=35)
+        backwards = list(reversed(range(10)))
+        counts = np.stack([_one_block(src, ch, 4_000, 35, b) for b in backwards])
+        out_of_order = BlockSeries(counts[::-1])
+        assert np.array_equal(session.blocks.detected, out_of_order.detected)
+        assert np.array_equal(session.blocks.errors, out_of_order.errors)
+
+    def test_block_schedule_invariance_with_scintillation(self):
+        """Each block's multiplier comes from its own stream, not from the schedule."""
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
+                           scintillation_sigma=0.3)
+        session = run_session(src, ch, 40_000, block_size=4_000, master_seed=39)
+        for b in (7, 2, 9, 0, 5, 1, 8, 3, 6, 4):
+            (tally,) = BlockSeries(_one_block(src, ch, 4_000, 39, b)[None])
+            for name in ("sent", "detected", "sifted", "errors"):
+                assert np.array_equal(getattr(session.blocks[b], name), getattr(tally, name))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_shuffled_indices_give_the_session_rows(self, sigma):
+        src = SourceParams()
+        ch = ChannelParams(eta_ch=0.2, eta_c=1.0, eta_d=1.0, y0=1e-4,
+                           scintillation_sigma=sigma)
+        session = run_session(src, ch, 48_000, block_size=4_000, master_seed=42)
+        order = np.random.default_rng(43).permutation(12).tolist()
+        shuffled = BlockSeries(np.stack([_one_block(src, ch, 4_000, 42, b) for b in order]))
+        for name in ("sent", "detected", "sifted", "errors"):
+            assert np.array_equal(getattr(shuffled, name), getattr(session.blocks, name)[order])
+
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_a_shorter_session_is_a_prefix_of_a_longer_one(self, sigma):
         """Block b reads counter range b of the seed's key, whatever the session's length."""
@@ -437,12 +482,7 @@ class TestSessionContracts:
                            scintillation_sigma=sigma)
         counts = simulate_blocks(src, ch, 4_000, 44, 6)
         for b, row in enumerate(counts):
-            gen = block_generator(44, b)
-            multiplier = 1.0
-            if sigma > 0.0:
-                multiplier = np.exp(sigma * gen.standard_normal() - 0.5 * sigma * sigma)
-            law = _block_law(src, ch, multiplier).ravel()
-            assert np.array_equal(row.ravel(), gen.multinomial(4_000, law))
+            assert np.array_equal(row, _one_block(src, ch, 4_000, 44, b))
 
     def test_distinct_streams_are_independent(self):
         draws = [block_generator(1, b).random(4) for b in (0, 1, 2**64 + 2)]
