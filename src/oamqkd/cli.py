@@ -232,13 +232,14 @@ def _observables_from_map(values: dict, source: str, mu: float, nu: float) -> De
     missing = [k for k in OBSERVABLE_FIELDS[2:] if k not in values]
     if missing:
         raise UsageError(f"{source}: missing observable field(s): {', '.join(missing)}")
-    try:
-        fields = {k: float(values[k]) for k in OBSERVABLE_FIELDS[2:]}
-        mu = float(values.get("mu", mu))
-        nu = float(values.get("nu", nu))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{source}: non-numeric observable value ({exc})") from None
-    return DecoyObservables(mu=mu, nu=nu, **fields)
+    values = {"mu": mu, "nu": nu, **values}
+    fields = {}
+    for key in OBSERVABLE_FIELDS:
+        try:
+            fields[key] = float(values[key])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{source}: non-numeric observable {key} ({exc})") from None
+    return DecoyObservables(**fields)
 
 
 def _collect_observables(args, values: dict) -> list[tuple[str, DecoyObservables]]:

@@ -24,7 +24,8 @@ class DecoyObservables:
 
     ``q_mu``/``q_nu`` are detections per sent pulse of each class, ``e_mu``/
     ``e_nu`` are errors per sifted bit of each class, ``y0`` is the detection
-    probability of an empty pulse.
+    probability of an empty pulse.  Every field is checked on construction,
+    and the record is frozen so that it stays as checked.
     """
 
     mu: float
@@ -38,12 +39,14 @@ class DecoyObservables:
     def __post_init__(self) -> None:
         if not (math.inf > self.mu > self.nu > 0.0):
             raise ValidationError(f"need finite mu > nu > 0, got mu={self.mu}, nu={self.nu}")
-        for name, gain in (("q_mu", self.q_mu), ("q_nu", self.q_nu)):
-            if not 0.0 < gain <= 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1], got {gain}")
-        for name, qber in (("e_mu", self.e_mu), ("e_nu", self.e_nu)):
-            if not 0.0 <= qber <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {qber}")
+        if not 0.0 < self.q_mu <= 1.0:
+            raise ValidationError(f"q_mu must lie in (0, 1], got {self.q_mu}")
+        if not 0.0 < self.q_nu <= 1.0:
+            raise ValidationError(f"q_nu must lie in (0, 1], got {self.q_nu}")
+        if not 0.0 <= self.e_mu <= 1.0:
+            raise ValidationError(f"e_mu must lie in [0, 1], got {self.e_mu}")
+        if not 0.0 <= self.e_nu <= 1.0:
+            raise ValidationError(f"e_nu must lie in [0, 1], got {self.e_nu}")
         if not 0.0 <= self.y0 < math.inf:
             raise ValidationError(f"y0 must be non-negative and finite, got {self.y0}")
 
@@ -64,16 +67,17 @@ class ECModel:
             raise ValidationError(f"vacuum error rate e0 must lie in [0, 1], got {self.e0}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class KeyRateBreakdown:
     """All terms entering the decoy secret key rate, plus the rate itself.
 
-    ``rate`` is reported as computed, negative values included.  A gain
-    bound of zero pins ``e1_upper`` at 1 with ``e1_clamped``.  ``secure``
-    needs ``rate > 0``, a positive single-photon gain bound and a
-    single-photon error bound below 1/2: without the last two the
-    single-photon term is zero and a rate from the vacuum term alone
-    certifies no key.
+    A plain result record that checks nothing; :func:`secret_key_rate` builds
+    it positionally, in field order.  ``rate`` is reported as computed,
+    negative values included.  A gain bound of zero pins ``e1_upper`` at 1
+    with ``e1_clamped``.  ``secure`` needs ``rate > 0``, a positive
+    single-photon gain bound and a single-photon error bound below 1/2:
+    without the last two the single-photon term is zero and a rate from the
+    vacuum term alone certifies no key.
     """
 
     q1_lower: float
@@ -163,16 +167,8 @@ def secret_key_rate(obs: DecoyObservables, ec: ECModel = ECModel()) -> KeyRateBr
         raise DomainError(f"decoy bounds leave the float range ({exc}) for {obs}") from None
     if not math.isfinite(rate):
         raise DomainError(f"key rate {rate} is not finite for {obs}")
-    return KeyRateBreakdown(
-        q1_lower=q1,
-        e1_upper=e1,
-        q0=q0,
-        leak_ec=leak,
-        rate=rate,
-        q1_clamped=q1_clamped,
-        e1_clamped=e1_clamped,
-        secure=rate > 0.0 and q1 > 0.0 and e1 < 0.5,
-    )
+    secure = rate > 0.0 and q1 > 0.0 and e1 < 0.5
+    return KeyRateBreakdown(q1, e1, q0, leak, rate, q1_clamped, e1_clamped, secure)
 
 
 def single_photon_rate(e_mu: float, ec: ECModel = ECModel()) -> float:

@@ -456,8 +456,8 @@ def test_flag_value_exits_cleanly(tmp_path, command, base, flag, value):
 
 
 OBSERVABLE_HEADER = "mu,nu,q_mu,e_mu,q_nu,e_nu,y0\n"
-#: Invocations refused with exit 1: (id, argv, files to write first, what the message names).
-#: ``{d}`` is the test's directory.
+#: Invocations refused with exit 1: (id, argv, files to write first, what the message names,
+#: one string or a tuple of them).  ``{d}`` is the test's directory.
 REFUSALS = [
     ("negative-seed", ["simulate", "--seed", "-1"], {}, "--seed"),
     ("seed-above-64-bits", ["simulate", "--seed", str(2**64)], {}, "--seed"),
@@ -468,7 +468,7 @@ REFUSALS = [
      "{d}/obs.csv"),
     ("non-numeric-q-mu", ["keyrate", "--csv", "{d}/obs.csv"],
      {"obs.csv": OBSERVABLE_HEADER + "0.623,0.165,abc,0.0381,4.77e-3,0.0763,3.77e-4\n"},
-     "{d}/obs.csv"),
+     ("{d}/obs.csv", "q_mu")),
     ("missing-frame-directory", ["turbulence", "--frames", "{d}/none"], {}, "{d}/none"),
     ("one-frame-file", ["turbulence", "--frames", "{d}/frames"],
      {"frames/frame_0.txt": "1 1 1\n1\n"}, "{d}/frames"),
@@ -483,7 +483,9 @@ def test_refused_input_exits_1_naming_the_flag_or_path(tmp_path, capsys, argv, f
         (tmp_path / name).write_text(text)
     argv = [arg.format(d=tmp_path) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
-    assert named.format(d=tmp_path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for name in (named,) if isinstance(named, str) else named:
+        assert name.format(d=tmp_path) in err
     assert not (tmp_path / "o").exists()
 
 

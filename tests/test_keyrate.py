@@ -341,7 +341,28 @@ class TestQberThreshold:
             qber_threshold(0.9)
 
 
+#: Each refused observable: the field(s) set, and the start of the message that names it.
+OBSERVABLE_REFUSALS = [
+    (dict(nu=MU), r"^need finite mu > nu > 0"),
+    (dict(nu=MU + 0.1), r"^need finite mu > nu > 0"),
+    *(({field: value}, rf"^{field} must lie in \(0, 1\]")
+      for field in ("q_mu", "q_nu") for value in (0.0, 1.5, math.nan)),
+    *(({field: value}, rf"^{field} must lie in \[0, 1\]")
+      for field in ("e_mu", "e_nu") for value in (-0.1, 1.5, math.nan)),
+    *((dict(y0=value), r"^y0 must be non-negative and finite") for value in (-1e-5, math.inf)),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("bad, message", OBSERVABLE_REFUSALS,
+                             ids=[",".join(f"{k}={v}" for k, v in bad.items())
+                                  for bad, _ in OBSERVABLE_REFUSALS])
+    def test_each_refusal_names_its_field(self, bad, message):
+        fields = dict(mu=MU, nu=NU, **REFERENCE_ROWS[0])
+        DecoyObservables(**fields)  # the unaltered row is accepted
+        with pytest.raises(ValidationError, match=message):
+            DecoyObservables(**{**fields, **bad})
+
     def test_gain_range(self):
         with pytest.raises(ValidationError):
             DecoyObservables(mu=MU, nu=NU, q_mu=0.0, e_mu=0.03, q_nu=4e-3,
