@@ -28,7 +28,6 @@ from .keyrate import (
 from .link_budget import (
     LinkBudgetParams,
     RatePoint,
-    dark_yield,
     gain_threshold,
     loss_margin_db,
     rate_vs_gain,

@@ -67,7 +67,7 @@ DEFAULTS.update(PLAIN_DEFAULTS)
 FLAGS = {
     "simulate": {"--pulses": "run.pulses", "--block-size": "run.block_size",
                  "--encoding": "channel.encoding", "--theta": "channel.theta"},
-    "keyrate": {"--mu": "source.mu", "--nu": "source.nu", "--f": "ec.f", "--e0": "ec.e0"},
+    "keyrate": {"--mu": "source.mu", "--nu": "source.nu", "--f": "ec.f"},
     "turbulence": {"--n-frames": "spot.n_frames", "--wander-std-mm": "spot.wander_std_mm",
                    "--rows": "spot.rows", "--cols": "spot.cols", "--pitch-mm": "spot.pitch_mm",
                    "--waist-mm": "spot.waist_mm", "--profile": "spot.profile",

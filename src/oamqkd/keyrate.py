@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ValidationError
 
 _FALSE_POSITION_STEPS = 100
+E0 = 0.5  # error rate of a background (dark or vacuum) click: its bit is a fair coin
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,15 @@ class DecoyObservables:
 
 @dataclass(frozen=True)
 class ECModel:
-    """Error-correction model: leakage ``f * h2(E)`` and vacuum error rate ``e0``."""
+    """Error-correction model: leakage ``f * h2(E)``."""
 
     f: float = 1.05
-    e0: float = 0.5
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.f < math.inf:
             raise ValidationError(
                 f"error-correction efficiency f must be finite and >= 1, got {self.f}"
             )
-        if not 0.0 <= self.e0 <= 1.0:
-            raise ValidationError(f"vacuum error rate e0 must lie in [0, 1], got {self.e0}")
 
 
 @dataclass
@@ -121,17 +119,17 @@ def q1_lower(obs: DecoyObservables) -> tuple[float, bool]:
     return value, False
 
 
-def e1_upper(obs: DecoyObservables, q1l: float, ec: ECModel = ECModel()) -> tuple[float, bool]:
+def e1_upper(obs: DecoyObservables, q1l: float) -> tuple[float, bool]:
     """Upper bound on the single-photon error rate, and whether it clamped.
 
-    Evaluates ``(E_nu Q_nu e^nu - e0 Y0) / (Q1_L (nu/mu) e^mu)`` and clamps
+    Evaluates ``(E_nu Q_nu e^nu - E0 Y0) / (Q1_L (nu/mu) e^mu)`` and clamps
     the result into [0, 1], flagged, when it falls outside.  A gain bound
     ``q1l <= 0`` certifies no single photon, so nothing bounds their errors:
     the bound is then 1, flagged, its pessimistic extreme.
     """
     if q1l <= 0.0:
         return 1.0, True
-    numerator = obs.e_nu * obs.q_nu * math.exp(obs.nu) - ec.e0 * obs.y0
+    numerator = obs.e_nu * obs.q_nu * math.exp(obs.nu) - E0 * obs.y0
     value = numerator / (q1l * (obs.nu / obs.mu) * math.exp(obs.mu))
     if value < 0.0:
         return 0.0, True
@@ -159,7 +157,7 @@ def secret_key_rate(obs: DecoyObservables, ec: ECModel = ECModel()) -> KeyRateBr
     """
     try:
         q1, q1_clamped = q1_lower(obs)
-        e1, e1_clamped = e1_upper(obs, q1, ec)
+        e1, e1_clamped = e1_upper(obs, q1)
         q0 = q0_gain(obs)
         leak = ec.f * binary_entropy(obs.e_mu)
         rate = q1 / obs.q_mu * (1.0 - binary_entropy(min(e1, 0.5))) - leak + q0 / obs.q_mu

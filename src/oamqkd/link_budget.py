@@ -3,7 +3,7 @@
 Given source intensities, an intrinsic channel QBER and a dark yield, the
 expected signal/decoy error rates at a hypothetical signal gain ``Q_mu`` are
 
-    E* = 0.5 * w + E_ch * (1 - w),   w = min(1, Y0 / Q)
+    E* = E0 * w + E_ch * (1 - w),   w = min(1, Y0 / Q),   E0 = 1/2 (keyrate.E0)
 
 with the decoy gain tied to the signal gain by ``Q_nu = (nu/mu) Q_mu``.
 Feeding these into the decoy key-rate bounds yields the rate-versus-gain
@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ThresholdUndefinedError, ValidationError
-from .keyrate import DecoyObservables, ECModel, KeyRateBreakdown, _false_position, secret_key_rate
+from .keyrate import (E0, DecoyObservables, ECModel, KeyRateBreakdown, _false_position,
+                      secret_key_rate)
 from .simulator import SourceParams
 
 _SCAN_FLOOR = 1e-7
@@ -47,7 +48,7 @@ class LinkBudgetParams:
         if not (0.0 <= self.dark_rate < math.inf and 0.0 <= self.gate < math.inf):
             raise ValidationError("dark rate and gate duration must be non-negative and finite")
         if self.y0 is None:
-            object.__setattr__(self, "y0", dark_yield(self.dark_rate, self.gate))
+            object.__setattr__(self, "y0", self.dark_rate * self.gate)
         elif not 0.0 <= self.y0 < math.inf:
             raise ValidationError(f"y0 must be non-negative and finite, got {self.y0}")
 
@@ -56,17 +57,10 @@ class LinkBudgetParams:
         return ECModel(f=self.f)
 
 
-def dark_yield(dark_rate: float, gate: float) -> float:
-    """Dark/background detection probability per pulse: rate times gate length."""
-    if dark_rate < 0.0 or gate < 0.0:
-        raise DomainError("dark rate and gate duration must be non-negative")
-    return dark_rate * gate
-
-
 def _starred(q: float, p: LinkBudgetParams) -> float:
     """``E*`` at gain ``q``, the dark fraction ``Y0/Q`` clamped at 1."""
     w = min(1.0, p.y0 / q)
-    return 0.5 * w + p.e_ch * (1.0 - w)
+    return E0 * w + p.e_ch * (1.0 - w)
 
 
 def _observables(q_mu: float, p: LinkBudgetParams) -> DecoyObservables:

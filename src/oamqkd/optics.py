@@ -39,7 +39,7 @@ class Encoding(str, Enum):
 
 def _check_norm(*amps: complex) -> None:
     norm_sq = float(sum(abs(a) ** 2 for a in amps))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValidationError(f"state is not normalized: |amps|^2 = {norm_sq!r}")
 
 
@@ -185,8 +185,8 @@ def rotate_frame(state, theta: float):
     :func:`embed_hybrid` of it, so that its invariance follows from the phases
     of its ``m = 0`` elements instead of being assumed.
     """
-    if isinstance(state, ProductState):
-        return ProductState(state.amps * np.exp(-1j * _PRODUCT_M * theta))
+    if isinstance(state, ProductState):  # |m| = 2 doubles theta: reduce it exactly first
+        return ProductState(state.amps * np.exp(-1j * _PRODUCT_M * math.remainder(theta, math.tau)))
     if isinstance(state, PolarizationState):
         phases = np.exp(-1j * _SPIN * theta)
         return PolarizationState(state.amp_r * phases[0], state.amp_l * phases[1])
@@ -216,7 +216,7 @@ def measure_probabilities(state, b: Basis) -> tuple[float, float]:
 
     probs = np.abs(kets.conj() @ vec) ** 2
     p0, p1 = float(probs[0]), float(probs[1])
-    if abs(p0 + p1 - 1.0) > NORM_TOL:
+    if not abs(p0 + p1 - 1.0) <= NORM_TOL:
         raise ValidationError(
             f"state has weight outside the measured subspace: p0 + p1 = {p0 + p1!r}"
         )

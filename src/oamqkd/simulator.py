@@ -445,6 +445,8 @@ def simulate_blocks(
     order: its scintillation multiplier (only when sigma > 0), then its counts
     from :func:`_block_law`.  So these are the first rows of any longer run.
     """
+    if n_blocks * 36 > np.iinfo(np.intp).max:  # refused before any draw
+        raise ValidationError(f"{n_blocks} blocks exceed numpy's largest counts array")
     sigma = ch.scintillation_sigma
     if sigma > 0.0:
         # mean-corrected log-normal: E[multiplier] = 1

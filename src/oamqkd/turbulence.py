@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, DomainError, ValidationError
 
 #: Constant in the Fried-parameter definition r0 = [0.423 k^2 Cn2 L]^(-3/5).
 FRIED_CN2_CONSTANT = 0.423
@@ -140,9 +140,10 @@ def fried_parameter(sigma_m: float, geom: LinkGeometry) -> float:
 
 def cn2_from_fried(r0: float, geom: LinkGeometry) -> float:
     """Structure constant for a path-constant profile: ``r0^(-5/3) / (0.423 k^2 L)``."""
-    if r0 <= 0.0:
-        raise DegenerateInputError(f"r0 must be positive, got {r0}")
-    return r0 ** (-5.0 / 3.0) / (FRIED_CN2_CONSTANT * geom.wavevector**2 * geom.length_m)
+    try:
+        return math.pow(r0, -5 / 3) / (FRIED_CN2_CONSTANT * geom.wavevector**2 * geom.length_m)
+    except (ValueError, OverflowError):  # r0 <= 0, or r0^(-5/3) beyond the float range
+        raise DomainError(f"r0 must be positive and give a finite Cn2, got {r0}") from None
 
 
 def is_weak_turbulence(beam_radius_m: float, r0: float) -> bool:

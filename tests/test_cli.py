@@ -489,6 +489,59 @@ def test_refused_input_exits_1_naming_the_flag_or_path(tmp_path, capsys, argv, f
     assert not (tmp_path / "o").exists()
 
 
+#: Values far outside any link, each refused with its exit code and a message, never a
+#: traceback: (id, argv, exit code, message fragment).
+EXTREME_VALUES = [
+    ("pulses-beyond-numpy-arrays", ["simulate", "--pulses", "100000000000000000000000"], 1,
+     "exceed numpy's largest counts array"),
+    ("sigma-beyond-float-range", ["turbulence", "--sigma-m-mm", "1e300"], 2, "finite Cn2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", [r[1:] for r in EXTREME_VALUES],
+                         ids=[r[0] for r in EXTREME_VALUES])
+def test_extreme_value_exits_with_a_message(tmp_path, capsys, argv, code, fragment):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == code
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_hybrid_angle_gives_the_zero_angle_files(tmp_path):
+    """2 theta overflows at theta = 1e308; the reduced angle still leaves hybrid states alone."""
+    for name, theta in (("huge", "1e308"), ("zero", "0")):
+        assert main(["simulate", "--theta", theta, "--pulses", "5760", "--seed", "4",
+                     "--out", str(tmp_path / name)]) == 0
+    huge, zero = tmp_path / "huge", tmp_path / "zero"
+    assert (huge / "blocks.csv").read_bytes() == (zero / "blocks.csv").read_bytes()
+    written = [read_key_values(d / "observables.txt") for d in (huge, zero)]
+    assert float(written[0].pop("theta")) == 1e308 and float(written[1].pop("theta")) == 0.0
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "0.3"])
+def test_e0_is_not_a_setting(tmp_path, capsys, value, source):
+    """A background click errs at e0 = 1/2; neither ``--e0`` nor ``ec.e0`` is accepted."""
+    args = ["keyrate", *INLINE_OBSERVABLES, "--out", str(tmp_path / "o")]
+    if source == "flag":
+        args += [f"--e0={value}"]
+    else:
+        write_config(tmp_path / "run.cfg", {"ec.e0": value})
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 1
+    assert ("--e0" if source == "flag" else "ec.e0") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["sweep", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "File exists" in err and str(taken) in err
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("key", ["channel.eta_chh", "source.pulse_rate",
                                      "source.effective_bitrate"])

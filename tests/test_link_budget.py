@@ -17,12 +17,12 @@ from oamqkd import (
     LinkBudgetParams,
     ThresholdUndefinedError,
     ValidationError,
-    dark_yield,
     gain_threshold,
     loss_margin_db,
     rate_vs_gain,
     secret_key_rate,
 )
+from oamqkd.keyrate import E0
 
 DEFAULTS = LinkBudgetParams()
 
@@ -43,16 +43,24 @@ def point_stars(q_mu, p):
 
 
 class TestDarkYield:
+    """The ``y0`` that LinkBudgetParams derives as ``dark_rate * gate``."""
+
     def test_reference_value(self):
-        assert dark_yield(100.0, 50e-9) == pytest.approx(5e-6, rel=1e-12)
+        assert LinkBudgetParams(dark_rate=100.0, gate=50e-9).y0 == pytest.approx(5e-6, rel=1e-12)
 
     def test_zero_rate(self):
-        assert dark_yield(0.0, 50e-9) == 0.0
+        assert LinkBudgetParams(dark_rate=0.0, gate=50e-9).y0 == 0.0
 
     def test_bilinear(self):
-        base = dark_yield(100.0, 50e-9)
-        assert dark_yield(200.0, 50e-9) == pytest.approx(2 * base, rel=1e-12)
-        assert dark_yield(100.0, 100e-9) == pytest.approx(2 * base, rel=1e-12)
+        base = LinkBudgetParams(dark_rate=100.0, gate=50e-9).y0
+        for doubled in (LinkBudgetParams(dark_rate=200.0, gate=50e-9),
+                        LinkBudgetParams(dark_rate=100.0, gate=100e-9)):
+            assert doubled.y0 == pytest.approx(2 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["dark_rate", "gate"])
+    def test_negative_rate_or_gate_rejected(self, name):
+        with pytest.raises(ValidationError, match="dark rate and gate duration must be"):
+            LinkBudgetParams(**{name: -1.0})
 
     def test_default_params_derive_y0(self):
         assert DEFAULTS.y0 == pytest.approx(5e-6, rel=1e-12)
@@ -87,6 +95,10 @@ class TestPredictedQbers:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValidationError):
             rate_vs_gain([0.0], DEFAULTS)
+
+    def test_below_the_dark_floor_both_classes_err_at_the_key_rates_e0(self):
+        p = LinkBudgetParams(e_ch=0.03, y0=1e-3)
+        assert point_stars(1e-4, p) == (E0, E0)
 
 
 class TestRateVsGain:

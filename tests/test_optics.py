@@ -68,6 +68,30 @@ def test_non_normalized_states_rejected():
         HybridState(0.5, 0.5)
     with pytest.raises(ValidationError):
         ProductState(np.array([1.0, 1.0, 0.0, 0.0]))
+    # NaN fails every comparison, so each norm check must refuse it rather than pass it
+    with pytest.raises(ValidationError, match="not normalized"):
+        PolarizationState(math.nan, 0.0)
+    with pytest.raises(ValidationError, match="not normalized"):
+        HybridState(0.0, complex(0.0, math.nan))
+    with pytest.raises(ValidationError, match="not normalized"):
+        ProductState(np.array([1.0, math.nan, 0.0, 0.0]))
+
+
+def test_product_state_of_the_wrong_shape_rejected():
+    with pytest.raises(ValidationError, match="needs 4 amplitudes, got shape"):
+        ProductState(np.array([1.0, 0.0]))
+
+
+def test_measuring_a_non_state_raises_type_error():
+    with pytest.raises(TypeError, match="cannot measure object of type tuple"):
+        measure_probabilities((1.0, 0.0), basis("Z", Encoding.HYBRID))
+
+
+def test_measurement_refuses_nan_probabilities():
+    state = PolarizationState(1.0, 0.0)
+    object.__setattr__(state, "amp_r", complex(math.nan))  # past the constructor's check
+    with pytest.raises(ValidationError, match="weight outside the measured subspace"):
+        measure_probabilities(state, basis("Z", Encoding.POLARIZATION))
 
 
 def test_embedded_hybrid_occupies_only_zero_momentum_elements():
@@ -85,6 +109,36 @@ def test_rotation_leaves_embedded_hybrid_states_unchanged():
         for theta in thetas[:4]:
             rotated = rotate_frame(prod, float(theta))
             assert np.max(np.abs(rotated.amps - prod.amps)) < TOL
+
+
+@pytest.mark.parametrize("turns", [1, -3, 1000])
+def test_whole_turns_of_the_frame_change_no_state(turns):
+    prod = ProductState(np.array([0.5, 0.5, 0.5j, -0.5]))
+    pol = PolarizationState(0.6, 0.8j)
+    for theta in (0.7, -2.0, math.pi):
+        shifted = theta + turns * 2.0 * math.pi
+        assert np.allclose(rotate_frame(prod, shifted).amps, rotate_frame(prod, theta).amps,
+                           rtol=0.0, atol=1e-9)
+        assert np.allclose(rotate_frame(pol, shifted).amplitudes,
+                           rotate_frame(pol, theta).amplitudes, rtol=0.0, atol=1e-9)
+
+
+def test_angles_within_half_a_turn_are_used_as_given():
+    """For |theta| <= pi the phases are ``exp(-i m theta)`` of theta itself, bit for bit."""
+    amps = np.array([0.5, 0.5, 0.5j, -0.5])
+    for theta in (0.0, 0.3, -1.2, math.pi, -math.pi):
+        expected = amps * np.exp(-1j * np.array([0.0, -2.0, 2.0, 0.0]) * theta)
+        assert np.array_equal(rotate_frame(ProductState(amps), theta).amps, expected)
+
+
+def test_huge_angle_leaves_an_embedded_hybrid_state_unchanged():
+    """At theta = 1e308, 2 theta overflows; the reduced angle keeps the state finite."""
+    prod = embed_hybrid(HybridState(0.6, 0.8j))
+    rotated = rotate_frame(prod, 1e308)
+    assert np.array_equal(rotated.amps, prod.amps)
+    for label in ("Z", "X"):
+        basis_ = basis(label, Encoding.HYBRID)
+        assert measure_probabilities(rotated, basis_) == measure_probabilities(prod, basis_)
 
 
 def test_bare_hybrid_qubit_is_rotated_only_through_its_embedding():

@@ -55,7 +55,7 @@ def observables(draw, mu_min, mu_max, ratio_min, gain_min, y0_max):
 ANY = observables(mu_min=0.0, mu_max=1.7e308, ratio_min=0.0, gain_min=0.0, y0_max=1.7e308)
 #: Mean photon numbers in [1e-3, 10], nu/mu from 1e-3, gains from 1e-12, y0 a probability.
 PHYSICAL = observables(mu_min=1e-3, mu_max=10.0, ratio_min=1e-3, gain_min=1e-12, y0_max=1.0)
-EC = st.builds(ECModel, f=finite(1.0, 10.0), e0=finite(0.0, 1.0))
+EC = st.builds(ECModel, f=finite(1.0, 10.0))
 
 
 def check_breakdown(b) -> None:

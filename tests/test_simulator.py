@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oamqkd import (
     tally_blocks,
     transmit,
 )
+from oamqkd import simulator
 from oamqkd.keyrate import e1_upper
 from oamqkd.simulator import (
     BlockSeries,
@@ -152,6 +154,12 @@ class TestTransmit:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_channel_params_rejected(self, name, value):
         with pytest.raises(ValidationError):
+            ChannelParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["eta_ch", "eta_c", "eta_d", "e_ch", "y0"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_probabilities_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must lie in \\[0, 1\\], got {value}"):
             ChannelParams(**{name: value})
 
     def test_unknown_encoding_rejected(self):
@@ -373,6 +381,18 @@ class TestObservables:
         with pytest.raises(EstimationError):
             estimate_observables(tally_blocks(batch, 2000), all_signal_source())
 
+    def test_no_blocks_raises(self):
+        empty = BlockSeries(np.zeros((0, 3, 3, 4), dtype=np.int64))
+        with pytest.raises(EstimationError, match="no blocks to estimate from"):
+            estimate_observables(empty, SourceParams())
+
+    def test_no_sifted_bits_raises(self):
+        counts = np.zeros((1, 3, 3, 4), dtype=np.int64)
+        counts[0, :, 1, 0] = 10  # every class sent and missed
+        counts[0, :, 1, 1] = 5  # and detected in the other basis only
+        with pytest.raises(EstimationError, match="no sifted bits in class SIGNAL"):
+            estimate_observables(BlockSeries(counts), SourceParams())
+
     def test_no_detections_raises(self):
         src = SourceParams()
         batch = generate_pulses(10_000, src, 31)
@@ -473,6 +493,14 @@ class TestSessionContracts:
     def test_block_generator_refuses_negative_entropy(self, master_seed, block_index):
         with pytest.raises(ValidationError):
             block_generator(master_seed, block_index)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_more_blocks_than_an_array_holds_are_refused_before_any_draw(self, sigma):
+        ch = ChannelParams(scintillation_sigma=sigma)
+        n_blocks = 100_000_000_000_000_000_000_000 // 2880
+        with mock.patch.object(simulator, "_block_streams", side_effect=AssertionError("drew")):
+            with pytest.raises(ValidationError, match=f"{n_blocks} blocks exceed numpy"):
+                simulate_blocks(SourceParams(), ch, 2880, 0, n_blocks)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_simulate_blocks_draws_each_block_from_its_generator(self, sigma):

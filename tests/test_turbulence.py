@@ -1,6 +1,7 @@
 """Centroid extraction, wander statistics and the coherence-length chain."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from oamqkd import (
     CentroidSample,
     DegenerateInputError,
+    DomainError,
     IntensityFrame,
     LinkGeometry,
     SpotModel,
@@ -101,6 +103,11 @@ class TestCentroid:
         with pytest.raises(ValidationError):
             IntensityFrame(values=values, pitch_mm=1.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 3)])
+    def test_grid_that_is_not_a_non_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"2-d grid, got shape {shape}")):
+            IntensityFrame(values=np.ones(shape), pitch_mm=1.0)
+
     @pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_or_non_finite_pitch_rejected(self, pitch):
         with pytest.raises(ValidationError):
@@ -188,6 +195,12 @@ class TestFriedChain:
     def test_zero_sigma_rejected(self):
         with pytest.raises(DegenerateInputError):
             fried_parameter(0.0, GEOMETRY)
+
+    @pytest.mark.parametrize("r0", [0.0, -0.17, 1e-250])
+    def test_r0_without_a_finite_cn2_rejected(self, r0):
+        """r0 <= 0 has no power; a tiny r0 overflows it."""
+        with pytest.raises(DomainError, match=f"finite Cn2, got {r0}"):
+            cn2_from_fried(r0, GEOMETRY)
 
     @pytest.mark.parametrize("field", ["sigma_m", "r0", "cn2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
@@ -330,6 +343,11 @@ class TestSynthesis:
         assert np.array_equal(frames[0].values, synthesize_frames(
             3, SpotModel(profile=profile), 0.3e-3, rng_seed=18)[0].values)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_frame_count_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"frame count must be positive, got {n}"):
+            synthesize_frames(n, SpotModel(), 0.3e-3)
+
     @pytest.mark.parametrize("wander", [math.nan, math.inf, -1e-3])
     def test_bad_wander_rejected_at_the_call(self, wander):
         with warnings.catch_warnings():
@@ -359,6 +377,13 @@ class TestFrameFiles:
         assert back.rows == 16 and back.cols == 12
         assert back.pitch_mm == frame.pitch_mm
         assert np.allclose(back.values, frame.values, rtol=1e-9)
+
+    @pytest.mark.parametrize("header", ["16 12", "16 12 0.1 7", ""])
+    def test_header_without_three_fields(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n1 2\n")
+        with pytest.raises(ValidationError, match="header must be 'rows cols pitch_mm'"):
+            read_frame(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
