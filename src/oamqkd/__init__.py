@@ -5,14 +5,7 @@ Monte Carlo simulation, closed-form decoy key-rate bounds, beam-wander
 turbulence estimation and rate-versus-gain link budgets.
 """
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    EncodingMismatchError,
-    EstimationError,
-    ThresholdUndefinedError,
-    ValidationError,
-)
+from .errors import DomainError, ThresholdUndefinedError, ValidationError
 from .keyrate import (
     DecoyObservables,
     ECModel,

@@ -20,13 +20,7 @@ import numpy as np
 from . import link_budget as lb
 from . import simulator as sim
 from . import turbulence as turb
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    EstimationError,
-    ThresholdUndefinedError,
-    ValidationError,
-)
+from .errors import DomainError, ThresholdUndefinedError, ValidationError
 from .fileio import FULL_FLOAT_FORMAT, read_key_values, write_csv, write_key_values
 from .keyrate import (
     DecoyObservables,
@@ -299,7 +293,7 @@ def cmd_keyrate(args) -> int:
 def _read_frame_file(path: Path) -> turb.IntensityFrame:
     try:
         return turb.read_frame(path)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed frame file {path}: {exc}") from None
 
 
@@ -419,7 +413,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, EstimationError, DegenerateInputError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -1,25 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; the CLI maps each to one exit code."""
 
 
 class ValidationError(ValueError):
-    """Raised when a parameter set or quantum state fails its invariants."""
-
-
-class EncodingMismatchError(ValidationError):
-    """Raised when a state and a measurement basis use different encodings."""
+    """A parameter, state or input value lies outside its range (exit 1)."""
 
 
 class DomainError(ValueError):
-    """Raised when a closed-form expression is evaluated outside its domain."""
+    """Valid inputs from which the model or the data cannot give a value (exit 2)."""
 
 
-class EstimationError(RuntimeError):
-    """Raised when session data is insufficient to estimate the decoy observables."""
-
-
-class DegenerateInputError(ValueError):
-    """Raised on degenerate measurement data (all-zero frame, constant centroids, ...)."""
-
-
-class ThresholdUndefinedError(RuntimeError):
+class ThresholdUndefinedError(DomainError):
     """Raised when a rate curve has no sign change inside the scanned bracket."""

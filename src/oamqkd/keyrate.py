@@ -202,10 +202,12 @@ def _false_position(f, pos: float, f_pos: float, neg: float, f_neg: float) -> fl
 
 def qber_threshold(ec_f: float) -> float:
     """Largest QBER with a positive single-photon key rate, by :func:`_false_position`."""
-    if ec_f < 1.0:
-        raise DomainError(f"error-correction efficiency must be >= 1, got {ec_f}")
+    if not 1.0 <= ec_f < math.inf:
+        raise DomainError(f"error-correction efficiency must be finite and >= 1, got {ec_f}")
 
     def excess(e: float) -> float:
         return 1.0 - (1.0 + ec_f) * binary_entropy(e)
 
-    return _false_position(excess, 1e-15, excess(1e-15), 0.5, excess(0.5))
+    if not (f_lo := excess(1e-15)) > 0.0:
+        raise DomainError(f"no QBER down to 1e-15 has a positive rate at f={ec_f}")
+    return _false_position(excess, 1e-15, f_lo, 0.5, excess(0.5))

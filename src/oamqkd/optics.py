@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EncodingMismatchError, ValidationError
+from .errors import ValidationError
 
 #: Absolute tolerance on |amplitudes|^2 summing to one.
 NORM_TOL = 1e-12
@@ -203,11 +203,11 @@ def measure_probabilities(state, b: Basis) -> tuple[float, float]:
     if isinstance(state, (PolarizationState, HybridState)):
         name = "polarization" if isinstance(state, PolarizationState) else "hybrid"
         if b.encoding.value != name:
-            raise EncodingMismatchError(f"{name} state measured in a non-{name} basis")
+            raise ValidationError(f"{name} state measured in a non-{name} basis")
         vec, kets = state.amplitudes, b.kets
     elif isinstance(state, ProductState):
         if b.encoding is not Encoding.HYBRID:
-            raise EncodingMismatchError("product states can only be measured in hybrid bases")
+            raise ValidationError("product states can only be measured in hybrid bases")
         vec, kets = state.amps, np.zeros((2, 4), dtype=np.complex128)
         kets[:, 0] = b.kets[:, 1]  # |R>|l> component
         kets[:, 3] = b.kets[:, 0]  # |L>|r> component

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import DomainError, ValidationError
 from .keyrate import DecoyObservables
 from .optics import Encoding, basis, embed_hybrid, measure_probabilities, rotate_frame
 
@@ -346,18 +346,18 @@ def estimate_observables(blocks: BlockSeries, src: SourceParams) -> DecoyObserva
     the vacuum yield is detected/sent among empty pulses.
     """
     if not len(blocks):
-        raise EstimationError("no blocks to estimate from")
+        raise DomainError("no blocks to estimate from")
     sent, detected, sifted, errors = (a.sum(axis=0).tolist() for a in (
         blocks.sent, blocks.detected, blocks.sifted, blocks.errors))
 
     if 0 in sent:
         missing = [cls.name for cls in IntensityClass if sent[cls] == 0]
-        raise EstimationError(f"no pulses sent in class(es): {', '.join(missing)}")
+        raise DomainError(f"no pulses sent in class(es): {', '.join(missing)}")
     for cls in (IntensityClass.SIGNAL, IntensityClass.DECOY):
         if detected[cls] == 0:
-            raise EstimationError(f"no detections in class {cls.name}; gain not estimable")
+            raise DomainError(f"no detections in class {cls.name}; gain not estimable")
         if sifted[cls] == 0:
-            raise EstimationError(f"no sifted bits in class {cls.name}; QBER not estimable")
+            raise DomainError(f"no sifted bits in class {cls.name}; QBER not estimable")
 
     i, j, k = IntensityClass
     return DecoyObservables(mu=src.mu, nu=src.nu, q_mu=detected[i] / sent[i],

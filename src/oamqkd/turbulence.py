@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 #: Constant in the Fried-parameter definition r0 = [0.423 k^2 Cn2 L]^(-3/5).
 FRIED_CN2_CONSTANT = 0.423
@@ -92,10 +92,6 @@ class TurbulenceEstimate:
     r0: float
     cn2: float
 
-    def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.sigma_m, self.r0, self.cn2)):
-            raise ValidationError("turbulence estimate fields must be positive and finite")
-
 
 def centroid(frame: IntensityFrame) -> CentroidSample:
     """Intensity-weighted mean of pixel centers, scaled by the pitch.
@@ -108,7 +104,7 @@ def centroid(frame: IntensityFrame) -> CentroidSample:
     row_sums, row_x = (np.require(frame.values, requirements="CA") @ weights).T
     total = float(row_sums.sum())
     if total <= 0.0:
-        raise DegenerateInputError("cannot take the centroid of an all-zero frame")
+        raise DomainError("cannot take the centroid of an all-zero frame")
     y = float((row_sums @ (np.arange(frame.rows) + 0.5)) / total) * frame.pitch_mm
     x = float(row_x.sum() / total) * frame.pitch_mm
     return CentroidSample(x_mm=x, y_mm=y)
@@ -122,7 +118,7 @@ def wander_sigma(samples: Sequence[CentroidSample]) -> float:
     per-axis displacement.
     """
     if len(samples) < 2:
-        raise DegenerateInputError(f"need at least 2 centroid samples, got {len(samples)}")
+        raise DomainError(f"need at least 2 centroid samples, got {len(samples)}")
     # About the first sample: identical samples give exactly 0, where their mean need not be exact.
     x, y = (v - v[0] for v in np.array([(s.x_mm, s.y_mm) for s in samples]).T)
     sigma_mm = math.sqrt(0.5 * (float(np.var(x)) + float(np.var(y))))
@@ -132,18 +128,22 @@ def wander_sigma(samples: Sequence[CentroidSample]) -> float:
 def fried_parameter(sigma_m: float, geom: LinkGeometry) -> float:
     """Fried coherence length ``r0 = 2 L / (k sigma_m)`` in meters."""
     if sigma_m <= 0.0:
-        raise DegenerateInputError(
-            f"wander sigma must be positive for a finite r0, got {sigma_m}"
-        )
+        raise DomainError(f"wander sigma must be positive for a finite r0, got {sigma_m}")
     return 2.0 * geom.length_m / (geom.wavevector * sigma_m)
 
 
 def cn2_from_fried(r0: float, geom: LinkGeometry) -> float:
-    """Structure constant for a path-constant profile: ``r0^(-5/3) / (0.423 k^2 L)``."""
+    """Structure constant for a path-constant profile: ``r0^(-5/3) / (0.423 k^2 L)``.
+
+    The turbulence chain's one range check: :class:`DomainError` unless 0 < Cn2 < inf.
+    """
     try:
-        return math.pow(r0, -5 / 3) / (FRIED_CN2_CONSTANT * geom.wavevector**2 * geom.length_m)
-    except (ValueError, OverflowError):  # r0 <= 0, or r0^(-5/3) beyond the float range
-        raise DomainError(f"r0 must be positive and give a finite Cn2, got {r0}") from None
+        cn2 = math.pow(r0, -5 / 3) / (FRIED_CN2_CONSTANT * geom.wavevector**2 * geom.length_m)
+    except (ValueError, OverflowError, ZeroDivisionError):  # r0 <= 0, or a term out of range
+        cn2 = math.nan
+    if not 0.0 < cn2 < math.inf:
+        raise DomainError(f"r0 must be positive and give a finite Cn2, got {r0}")
+    return cn2
 
 
 def is_weak_turbulence(beam_radius_m: float, r0: float) -> bool:
@@ -155,7 +155,7 @@ def estimate_turbulence(samples: Sequence[CentroidSample], geom: LinkGeometry) -
     """Run the wander -> r0 -> Cn2 chain on a set of centroid samples."""
     sigma = wander_sigma(samples)
     if sigma <= 0.0:
-        raise DegenerateInputError("centroids do not wander; turbulence is unresolvable")
+        raise DomainError("centroids do not wander; turbulence is unresolvable")
     return estimate_from_sigma(sigma, geom)
 
 

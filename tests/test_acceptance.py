@@ -18,7 +18,6 @@ from helpers import random_unit_pairs
 from oamqkd import (
     ChannelParams,
     Encoding,
-    HybridState,
     IntensityClass,
     PolarizationState,
     SourceParams,

@@ -7,7 +7,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from oamqkd import LinkBudgetParams, SpotModel, synthesize_frames
@@ -495,6 +494,10 @@ EXTREME_VALUES = [
     ("pulses-beyond-numpy-arrays", ["simulate", "--pulses", "100000000000000000000000"], 1,
      "exceed numpy's largest counts array"),
     ("sigma-beyond-float-range", ["turbulence", "--sigma-m-mm", "1e300"], 2, "finite Cn2"),
+    ("sigma-with-cn2-below-float-range", ["turbulence", "--sigma-m-mm", "1e-250"], 2, "finite Cn2"),
+    ("sigma-with-r0-beyond-float-range", ["turbulence", "--sigma-m-mm", "1e-320"], 2, "finite Cn2"),
+    ("wavelength-with-k-squared-below-float-range",
+     ["turbulence", "--sigma-m-mm", "0.33", "--wavelength-nm", "1e300"], 2, "finite Cn2"),
 ]
 
 

@@ -337,8 +337,11 @@ class TestQberThreshold:
             assert abs(1.0 - (1.0 + f) * binary_entropy(root)) < 1e-6
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            qber_threshold(0.9)
+        """f < 1 and a non-finite f are refused; so is an f so large that no QBER has a rate."""
+        for ec_f, match in ((0.9, ">= 1"), (math.nan, ">= 1"), (math.inf, ">= 1"),
+                            (1e308, "positive rate")):
+            with pytest.raises(DomainError, match=match):
+                qber_threshold(ec_f)
 
 
 #: Each refused observable: the field(s) set, and the start of the message that names it.

@@ -9,7 +9,6 @@ from helpers import random_hybrid_states, random_polarization_states, random_uni
 
 from oamqkd import (
     Encoding,
-    EncodingMismatchError,
     HybridState,
     PolarizationState,
     ProductState,
@@ -240,11 +239,11 @@ def test_hybrid_measurement_invariance_over_angle_grid():
 
 
 def test_encoding_mismatch_raises():
-    with pytest.raises(EncodingMismatchError):
+    with pytest.raises(ValidationError):
         measure_probabilities(HybridState(1.0, 0.0), basis("Z", Encoding.POLARIZATION))
-    with pytest.raises(EncodingMismatchError):
+    with pytest.raises(ValidationError):
         measure_probabilities(PolarizationState(1.0, 0.0), basis("Z", Encoding.HYBRID))
-    with pytest.raises(EncodingMismatchError):
+    with pytest.raises(ValidationError):
         measure_probabilities(embed_hybrid(HybridState(1.0, 0.0)), basis("X", Encoding.POLARIZATION))
 
 

@@ -10,18 +10,16 @@ from scipy import stats
 
 from oamqkd import (
     ChannelParams,
+    DomainError,
     Encoding,
-    EstimationError,
     IntensityClass,
     PulseBatch,
     SourceParams,
     ValidationError,
     estimate_observables,
     generate_pulses,
-    polarization_qber_theory,
     q1_lower,
     run_session,
-    secret_key_rate,
     tally_blocks,
     transmit,
 )
@@ -378,19 +376,19 @@ class TestObservables:
     def test_missing_class_raises(self):
         batch = generate_pulses(20_000, all_signal_source(), 29)
         transmit(batch, ChannelParams(**LOSSLESS), 1.0, np.random.default_rng(30))
-        with pytest.raises(EstimationError):
+        with pytest.raises(DomainError):
             estimate_observables(tally_blocks(batch, 2000), all_signal_source())
 
     def test_no_blocks_raises(self):
         empty = BlockSeries(np.zeros((0, 3, 3, 4), dtype=np.int64))
-        with pytest.raises(EstimationError, match="no blocks to estimate from"):
+        with pytest.raises(DomainError, match="no blocks to estimate from"):
             estimate_observables(empty, SourceParams())
 
     def test_no_sifted_bits_raises(self):
         counts = np.zeros((1, 3, 3, 4), dtype=np.int64)
         counts[0, :, 1, 0] = 10  # every class sent and missed
         counts[0, :, 1, 1] = 5  # and detected in the other basis only
-        with pytest.raises(EstimationError, match="no sifted bits in class SIGNAL"):
+        with pytest.raises(DomainError, match="no sifted bits in class SIGNAL"):
             estimate_observables(BlockSeries(counts), SourceParams())
 
     def test_no_detections_raises(self):
@@ -398,7 +396,7 @@ class TestObservables:
         batch = generate_pulses(10_000, src, 31)
         transmit(batch, ChannelParams(eta_ch=0.0, eta_c=0.0, eta_d=0.0, y0=0.0),
                  1.0, np.random.default_rng(32))
-        with pytest.raises(EstimationError):
+        with pytest.raises(DomainError):
             estimate_observables(tally_blocks(batch, 1000), src)
 
 

@@ -10,12 +10,10 @@ import pytest
 
 from oamqkd import (
     CentroidSample,
-    DegenerateInputError,
     DomainError,
     IntensityFrame,
     LinkGeometry,
     SpotModel,
-    TurbulenceEstimate,
     ValidationError,
     centroid,
     cn2_from_fried,
@@ -25,7 +23,7 @@ from oamqkd import (
     synthesize_frames,
     wander_sigma,
 )
-from oamqkd.turbulence import FRIED_CN2_CONSTANT, read_frame, write_frame
+from oamqkd.turbulence import FRIED_CN2_CONSTANT, estimate_from_sigma, read_frame, write_frame
 
 GEOMETRY = LinkGeometry(length_m=210.0, wavelength_m=850e-9)
 #: A narrow spot whose dimmest pixel is ~1e-274 when centred: wander offsets of
@@ -59,7 +57,7 @@ class TestCentroid:
         assert abs(sample.y_mm - 64 * 0.1) < 0.1 * 0.1
 
     def test_all_zero_frame_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             centroid(IntensityFrame(values=np.zeros((4, 4)), pitch_mm=1.0))
 
     @pytest.mark.parametrize("profile", ["gaussian", "annular"])
@@ -138,7 +136,7 @@ class TestWanderSigma:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_too_few_samples(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             wander_sigma([CentroidSample(0.0, 0.0)])
 
 
@@ -193,7 +191,7 @@ class TestFriedChain:
                 LinkGeometry(**fields)
 
     def test_zero_sigma_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             fried_parameter(0.0, GEOMETRY)
 
     @pytest.mark.parametrize("r0", [0.0, -0.17, 1e-250])
@@ -202,13 +200,23 @@ class TestFriedChain:
         with pytest.raises(DomainError, match=f"finite Cn2, got {r0}"):
             cn2_from_fried(r0, GEOMETRY)
 
+    #: A sigma (m) that drives the named field of the chain to nan, inf or 0.
+    SIGMA_GIVING = {
+        ("sigma_m", math.nan): math.nan, ("sigma_m", math.inf): math.inf, ("sigma_m", 0.0): 0.0,
+        ("r0", math.nan): math.nan, ("r0", math.inf): 1e-323, ("r0", 0.0): 1e305,
+        ("cn2", math.nan): math.nan, ("cn2", math.inf): 1e247, ("cn2", 0.0): 1e-253,
+    }
+
     @pytest.mark.parametrize("field", ["sigma_m", "r0", "cn2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_estimate_rejects_non_finite_or_zero_fields(self, field, value):
-        fields = dict(sigma_m=3.3e-4, r0=0.17, cn2=3.9e-15)
-        fields[field] = value
-        with pytest.raises(ValidationError):
-            TurbulenceEstimate(**fields)
+        """The chain refuses every sigma that would put nan, inf or 0 in a field."""
+        sigma = self.SIGMA_GIVING[field, value]
+        if field == "r0" and sigma > 0.0:
+            assert fried_parameter(sigma, GEOMETRY) == value
+        with pytest.raises(DomainError, match="wander sigma must be positive" if sigma == 0.0
+                           else "finite Cn2"):
+            estimate_from_sigma(sigma, GEOMETRY)
 
     def test_weak_turbulence_flag(self):
         assert is_weak_turbulence(0.015, 0.17)
@@ -249,7 +257,7 @@ class TestSynthesis:
 
     def test_frozen_spot_makes_estimate_degenerate(self):
         frames = synthesize_frames(5, SpotModel(), wander_std_m=0.0, rng_seed=8)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             estimate_turbulence([centroid(f) for f in frames], GEOMETRY)
 
     @pytest.mark.parametrize("profile", ["gaussian", "annular"])
@@ -259,7 +267,7 @@ class TestSynthesis:
         frames = synthesize_frames(n, SpotModel(waist_mm=waist_mm, profile=profile), 0.0)
         samples = [centroid(f) for f in frames]
         assert wander_sigma(samples) == 0.0
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             estimate_turbulence(samples, GEOMETRY)
 
     def test_oversized_spot_rejected(self):
